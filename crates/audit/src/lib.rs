@@ -25,6 +25,8 @@
 //! println!("{}", pcm_audit::render_json(&report, &applied));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod baseline;
 pub mod graph;
 pub mod index;

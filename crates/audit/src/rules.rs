@@ -65,14 +65,7 @@ pub const RULES: &[RuleInfo] = &[
         id: "unsafe-block",
         scope: Scope::File,
         summary: "unsafe without an adjacent `// SAFETY:` comment; commented sites land \
-                  in the inventory (and simd-confine pins where they may live)",
-    },
-    RuleInfo {
-        id: "simd-confine",
-        scope: Scope::File,
-        summary: "unsafe, CPU intrinsics, or cfg(feature = \"simd\") outside \
-                  crates/util/src/simd.rs; the dual scalar/vector file owns all \
-                  lane machinery",
+                  in the inventory",
     },
     RuleInfo {
         id: "serve-ownership",
@@ -181,12 +174,6 @@ const THREAD_ALLOW: &[&str] = &["crates/util/src/pool.rs", "crates/audit/"];
 /// would defeat the strict per-bank ownership the serve design rests on.
 const SERVE_OWNERSHIP_SCOPE: &[&str] = &["crates/serve/src", "crates/core/src"];
 
-/// The single file allowed to hold vector-lane machinery: `unsafe`, CPU
-/// intrinsics, `target_feature`, and the `simd` cargo-feature gate. Keeping
-/// them in one dual-implementation file is what makes the scalar/vector
-/// differential test rig total.
-const SIMD_CONFINE_ALLOW: &[&str] = &["crates/util/src/simd.rs"];
-
 /// Stage markers the gate script must keep, in order of appearance.
 pub const GATE_STAGES: &[&str] = &[
     "== fmt check ==",
@@ -194,7 +181,6 @@ pub const GATE_STAGES: &[&str] = &[
     "== verify ==",
     "== examples ==",
     "== bench hotpath ==",
-    "== simd ==",
     "== experiments ==",
     "== serve ==",
     "== rivals ==",
@@ -205,7 +191,7 @@ const ARTIFACT_STEM_ALLOW: &[&str] =
     &["audit", "bench_hotpath", "fmt", "rivals", "serve", "verify"];
 
 /// Non-experiment artifact stem prefixes (bench harness, example smoke).
-const ARTIFACT_PREFIX_ALLOW: &[&str] = &["BENCH_", "example_", "simd_"];
+const ARTIFACT_PREFIX_ALLOW: &[&str] = &["BENCH_", "example_"];
 
 /// True for library code: under a crate's `src/` (or the root `src/`)
 /// and not a binary target. Tests, benches, and examples live outside
@@ -568,42 +554,6 @@ pub fn check_file(rel: &str, lexed: &Lexed) -> FileOutput {
                     Kind::Punct if tok.text == ":" => j += 1,
                     _ => break,
                 }
-            }
-        }
-
-        // simd-confine: vector-lane machinery outside the one dual-impl file.
-        if lib && !in_test[i] && !path_allowed(rel, SIMD_CONFINE_ALLOW) {
-            let arch_path = (t.text == "std" || t.text == "core")
-                && punct(i + 1, ":")
-                && punct(i + 2, ":")
-                && ident(i + 3).is_some_and(|n| n.text == "arch");
-            let cfg_simd = t.text == "feature"
-                && punct(i + 1, "=")
-                && toks
-                    .get(i + 2)
-                    .is_some_and(|s| s.kind == Kind::Str && s.text == "simd");
-            let offender = if t.text == "unsafe" {
-                Some("`unsafe`")
-            } else if t.text == "target_feature" {
-                Some("`target_feature`")
-            } else if arch_path {
-                Some("CPU intrinsics (`::arch`)")
-            } else if cfg_simd {
-                Some("`cfg(feature = \"simd\")`")
-            } else {
-                None
-            };
-            if let Some(what) = offender {
-                findings.push(Finding {
-                    file: rel.to_string(),
-                    line: t.line,
-                    rule: "simd-confine",
-                    message: format!(
-                        "{what} outside crates/util/src/simd.rs: all lane machinery \
-                         (unsafe, intrinsics, the simd feature gate) lives in the one \
-                         dual scalar/vector file so the differential rig covers it"
-                    ),
-                });
             }
         }
 

@@ -1,17 +1,9 @@
-//! Fixture twin of the real `crates/util/src/simd.rs`: the ONE file where
-//! the `simd-confine` rule permits lane machinery. Everything below must
-//! produce no finding here, and the single unsafe site must land in the
-//! inventory because it carries an adjacent SAFETY comment.
+//! Fixture for the `unsafe-block` inventory: the single unsafe site below
+//! carries an adjacent SAFETY comment, so it must land in the inventory
+//! and produce no finding.
 
-#[cfg(feature = "simd")]
-#[target_feature(enable = "avx2")]
 pub fn read_lane(p: *const u8) -> u8 {
     // SAFETY: fixture callers pass a valid pointer; this site exercises
     // the unsafe inventory path (SAFETY comment present, no finding).
     unsafe { *p }
-}
-
-#[cfg(feature = "simd")]
-pub fn probe() -> bool {
-    std::arch::is_x86_feature_detected!("avx2")
 }

@@ -21,10 +21,6 @@ cargo run -q --release --example quickstart -- --quick
 echo "== bench hotpath =="
 cargo run -q --release -p pcm-bench --bin pcm-bench-hotpath -- --smoke
 
-echo "== simd =="
-cargo test -q --release -p pcm-util --features pcm-util/simd
-cargo run -q --release -p pcm-bench --bin pcm-bench-hotpath -- --smoke --out results/simd_smoke_vector.json
-
 echo "== serve =="
 cargo run -q --release -p pcm-serve --bin pcm-serve -- --seed 7 --duration 100000
 

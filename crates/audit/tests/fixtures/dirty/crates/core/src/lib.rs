@@ -40,12 +40,6 @@ pub unsafe fn read_raw(p: *const u8) -> u8 {
     *p
 }
 
-#[cfg(feature = "simd")]
-#[target_feature(enable = "avx2")]
-pub fn escaped_lanes() -> bool {
-    std::arch::is_x86_feature_detected!("avx2")
-}
-
 pub fn fan_out(xs: &[u64]) -> u64 {
     std::thread::scope(|s| {
         let h = s.spawn(|| xs.iter().sum::<u64>());

@@ -57,10 +57,6 @@ fn dirty_fixture_specific_sites() {
     assert!(has("panic-unwrap", lib, "bare unwrap()"));
     assert!(has("panic-macro", lib, "`panic!`"));
     assert!(has("unsafe-block", lib, "SAFETY"));
-    assert!(has("simd-confine", lib, "`unsafe`"));
-    assert!(has("simd-confine", lib, "`target_feature`"));
-    assert!(has("simd-confine", lib, "CPU intrinsics"));
-    assert!(has("simd-confine", lib, "`cfg(feature = \"simd\")`"));
     assert!(has("serve-ownership", lib, "`Arc<Mutex>`"));
     assert!(has("serve-ownership", lib, "`Arc<RwLock>`"));
     assert!(has("registry-dep", "Cargo.toml", "`serde`"));

@@ -32,16 +32,13 @@ fn real_workspace_is_clean_under_checked_in_baseline() {
         "baseline groups over their count:\n{:?}",
         applied.exceeded
     );
-    // Unsafe is confined to the dual scalar/vector kernel file by policy
-    // (DESIGN.md §11, rule `simd-confine`): every inventoried site must
-    // live there, and each must carry its SAFETY comment (a bare site
-    // would have surfaced as an `unsafe-block` finding above).
-    for site in &report.unsafe_inventory {
-        assert!(
-            site.starts_with("crates/util/src/simd.rs:"),
-            "unsafe site outside the confinement file: {site}"
-        );
-    }
+    // Every pcm-* library crate root forbids `unsafe_code`, so the
+    // workspace has no unsafe site to inventory (DESIGN.md §11).
+    assert!(
+        report.unsafe_inventory.is_empty(),
+        "unsafe sites in the workspace: {:?}",
+        report.unsafe_inventory
+    );
 }
 
 #[test]

@@ -9,12 +9,14 @@
 //! 2. `Line512` kernels — XOR/popcount, windowed popcount, byte rotation,
 //!    differential-write and Flip-N-Write encoding,
 //! 3. `simulate_line` throughput (simulated demand writes/sec) per
-//!    `SystemKind` × `EccChoice`, plus the lockstep batch driver pushing a
-//!    full 64-lane wave through `simulate_line_batch` (`campaign/lockstep`),
+//!    `SystemKind` × `EccChoice`, plus one campaign pool job — a full
+//!    64-seed `simulate_line_batch` call (`campaign/lockstep`; the id is
+//!    older than the per-seed loop and stays so the tracked checksum and
+//!    throughput floor keep applying),
 //! 4. `pcm_util::Pool` scheduling (threads ∈ {1, 2, 4, 8}, balanced vs.
 //!    skewed job cost),
-//! 5. the serve engine's per-bank batched write path — a scripted traffic
-//!    replay through `Engine::run_script` (`serve/bank_batch`),
+//! 5. the serve engine's per-bank write path — a scripted traffic replay
+//!    through `Engine::run_script` (`serve/bank_batch`),
 //! 6. end-to-end campaign wall-clock.
 //!
 //! Every benchmark also folds its outputs into a seed-stable checksum, so
@@ -28,10 +30,10 @@ use pcm_core::lifetime::{
     run_campaign, simulate_line, simulate_line_batch, CampaignConfig, LineScratch, LineSimConfig,
 };
 use pcm_core::{EccChoice, SystemConfig, SystemKind};
-use pcm_device::{diff_write, diff_write_batch, flip_n_write_batch, FlipNWrite};
+use pcm_device::{diff_write, FlipNWrite};
 use pcm_serve::{Engine, ServeConfig, TrafficGen};
 use pcm_trace::{BlockStream, SpecApp};
-use pcm_util::{child_seed, seeded_rng, simd, Line512, LineBatch64, Pool, BATCH_LANES, DATA_BYTES};
+use pcm_util::{child_seed, seeded_rng, Line512, Pool, BATCH_LANES};
 use std::time::{Duration, Instant};
 
 /// Options of the `pcm-bench-hotpath` binary.
@@ -402,100 +404,6 @@ pub fn run(opts: &HotpathOptions) -> HotpathReport {
         entries.push(("ops", checksum));
     }
 
-    // --- 2b. SoA batch kernels -----------------------------------------
-    // The same 64 line pairs, transposed once into `LineBatch64` lane
-    // planes; each bench runs a whole-batch kernel per iteration, and each
-    // checksum folds per-lane outputs in lane order so any divergence from
-    // the per-line kernels above shows up as checksum drift.
-    let batch_a = LineBatch64::from_lines(&pairs.iter().map(|(a, _)| *a).collect::<Vec<_>>());
-    let batch_b = LineBatch64::from_lines(&pairs.iter().map(|(_, b)| *b).collect::<Vec<_>>());
-    {
-        let checksum = simd::batch_hamming(&batch_a, &batch_b)
-            .iter()
-            .fold(0u64, |h, &v| mix(h, v as u64));
-        let mut g = c.benchmark_group("batch");
-        g.throughput(Throughput::Elements(batch_a.len() as u64));
-        g.bench_function("hamming", |b| {
-            b.iter(|| simd::batch_hamming(&batch_a, &batch_b).iter().sum::<u32>())
-        });
-        g.finish();
-        entries.push(("ops", checksum));
-    }
-    {
-        let checksum = simd::batch_window_popcount(&batch_a, 9, 48)
-            .iter()
-            .fold(0u64, |h, &v| mix(h, v as u64));
-        let mut g = c.benchmark_group("batch");
-        g.throughput(Throughput::Elements(batch_a.len() as u64));
-        g.bench_function("window_popcount", |b| {
-            b.iter(|| {
-                simd::batch_window_popcount(&batch_a, 9, 48)
-                    .iter()
-                    .sum::<u32>()
-            })
-        });
-        g.finish();
-        entries.push(("ops", checksum));
-    }
-    {
-        let dw = diff_write_batch(&batch_a, &batch_b);
-        let checksum = dw
-            .flips()
-            .iter()
-            .zip(dw.sets())
-            .fold(0u64, |h, (&f, s)| mix(mix(h, f as u64), s as u64));
-        let mut g = c.benchmark_group("batch");
-        g.throughput(Throughput::Elements(batch_a.len() as u64));
-        g.bench_function("diff_write", |b| {
-            b.iter(|| {
-                diff_write_batch(&batch_a, &batch_b)
-                    .flips()
-                    .iter()
-                    .sum::<u32>()
-            })
-        });
-        g.finish();
-        entries.push(("ops", checksum));
-    }
-    {
-        let run_fnw_batch = || {
-            let mut fnws = vec![FlipNWrite::new(8); batch_a.len()];
-            let (stored, flips) = flip_n_write_batch(&mut fnws, &batch_a, &batch_b);
-            let total: u32 = flips.iter().sum();
-            (total, stored)
-        };
-        let (flips, stored) = run_fnw_batch();
-        let checksum = (0..stored.len()).fold(mix(0, flips as u64), |h, lane| {
-            mix(h, stored.lane(lane).words()[0])
-        });
-        let mut g = c.benchmark_group("batch");
-        g.throughput(Throughput::Elements(batch_a.len() as u64));
-        g.bench_function("flip_n_write", |b| b.iter(|| run_fnw_batch().0));
-        g.finish();
-        entries.push(("ops", checksum));
-    }
-    {
-        let batch_w = LineBatch64::from_lines(&wl[..64.min(wl.len())]);
-        let mut bufs = vec![[0u8; DATA_BYTES]; batch_w.len()];
-        let checksum = pcm_compress::compress_best_batch_into(&batch_w, &mut bufs)
-            .iter()
-            .fold(0u64, |h, &(m, len)| {
-                mix(mix(h, m.encode_5bit() as u64), len as u64)
-            });
-        let mut g = c.benchmark_group("batch");
-        g.throughput(Throughput::Elements(batch_w.len() as u64));
-        g.bench_function("compress_best", |b| {
-            b.iter(|| {
-                pcm_compress::compress_best_batch_into(&batch_w, &mut bufs)
-                    .iter()
-                    .map(|&(_, len)| len)
-                    .sum::<usize>()
-            })
-        });
-        g.finish();
-        entries.push(("lines", checksum));
-    }
-
     // --- 3. linesim writes/sec per SystemKind × EccChoice --------------
     let endurance = if opts.smoke { 300.0 } else { 2_000.0 };
     for (kind, ecc) in linesim_matrix(opts.smoke) {
@@ -515,14 +423,12 @@ pub fn run(opts: &HotpathOptions) -> HotpathReport {
         entries.push(("writes", checksum));
     }
 
-    // --- 3b. campaign lockstep: one full wave through the batch driver -
+    // --- 3b. campaign pool job: one batch through simulate_line_batch -
     // The unit the campaign runner hands each worker: a chunk of seeds
-    // driven through `simulate_line_batch` in lockstep. Smoke keeps the
-    // wave partial (16 lanes); the full run measures a complete 64-lane
-    // wave so lane-divergence cost is visible in the rate. The checksum
-    // folds every record in lane order — byte-identity with the scalar
-    // path is pinned separately by the differential tests, this pins the
-    // batch driver's own outputs across commits.
+    // simulated one after another through one shared scratch. Smoke keeps
+    // the batch partial (16 seeds); the full run measures a complete
+    // 64-seed batch. The checksum folds every record in seed order, so it
+    // pins the batch's outputs across commits.
     {
         let lanes = if opts.smoke { 16 } else { BATCH_LANES };
         let system = SystemConfig::new(SystemKind::CompWF).with_endurance_mean(endurance);
@@ -587,9 +493,9 @@ pub fn run(opts: &HotpathOptions) -> HotpathReport {
         }
     }
 
-    // --- 4b. serve: per-bank batched write path ------------------------
+    // --- 4b. serve: per-bank write path ---------------------------------
     // A scripted open-loop traffic burst replayed through the engine; one
-    // shard keeps the measurement on the bank batch path itself rather
+    // shard keeps the measurement on the banks' write path itself rather
     // than pool spawn cost. Each iteration rebuilds the engine (bank
     // construction is a small fraction of the scripted write work) so
     // every replay starts from pristine wear state and the checksum — wear

@@ -22,6 +22,8 @@
 //! The only other binary is `pcm-bench-hotpath`, the kernel benchmark
 //! harness (DESIGN.md §9), which has its own options and output format.
 
+#![forbid(unsafe_code)]
+
 pub mod cli;
 pub mod experiments;
 pub mod hotpath;

@@ -13,15 +13,15 @@
 //! `scheduler/*` and `compress_best/*` wobble with container load and the
 //! campaign wall-clock entries are not micro-benchmarks. The
 //! `campaign/lockstep` and `serve/bank_batch` micro-benchmarks *are*
-//! ratcheted — they pin the batched campaign and serve write paths so the
-//! lockstep win cannot silently regress. The floor factor is deliberately
+//! ratcheted — they pin one campaign pool job and the serve engine's
+//! per-bank write path. The floor factor is deliberately
 //! loose — the gate runs on shared, noisy machines — so it catches
 //! "accidentally deoptimized the hot loop 3×", not a 10% wobble.
 
 use crate::hotpath::HotpathReport;
 
 /// Benchmark id prefixes the ratchet enforces a throughput floor on.
-pub const RATCHET_PREFIXES: [&str; 5] = ["linesim/", "kernels/", "batch/", "campaign/", "serve/"];
+pub const RATCHET_PREFIXES: [&str; 4] = ["linesim/", "kernels/", "campaign/", "serve/"];
 
 /// Default throughput floor: current must reach half the tracked rate.
 pub const DEFAULT_MIN_RATIO: f64 = 0.5;

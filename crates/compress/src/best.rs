@@ -7,7 +7,7 @@
 
 use crate::bdi::{self, BdiEncoding};
 use crate::fpc;
-use pcm_util::{Line512, LineBatch64, BATCH_LANES, DATA_BYTES};
+use pcm_util::{Line512, DATA_BYTES};
 use serde::{Deserialize, Serialize};
 
 /// How a line is stored in memory.
@@ -208,67 +208,6 @@ pub fn compress_best_into(line: &Line512, out: &mut [u8; DATA_BYTES]) -> (Method
         out.copy_from_slice(&line.to_bytes());
         (Method::Uncompressed, DATA_BYTES)
     }
-}
-
-/// Batch entry point: compresses every live lane of a struct-of-arrays
-/// batch. `out[i]` receives lane `i`'s payload bytes; the returned vector
-/// holds one `(method, payload_len)` per live lane, in lane order.
-///
-/// Lane `i` matches `compress_best_into(&batch.lane(i), &mut out[i])`
-/// exactly — the batch path transposes lanes out and reuses the scalar
-/// cascade, so the two can never disagree on method, size, or bytes (the
-/// golden-vector corpus pins this).
-///
-/// # Panics
-///
-/// Panics if `out` has fewer buffers than the batch has live lanes.
-///
-/// # Examples
-///
-/// ```
-/// use pcm_compress::{compress_best_batch_into, Method};
-/// use pcm_util::{LineBatch64, Line512, DATA_BYTES};
-///
-/// let batch = LineBatch64::from_lines(&[Line512::zero()]);
-/// let mut out = vec![[0u8; DATA_BYTES]; 1];
-/// let results = compress_best_batch_into(&batch, &mut out);
-/// assert_eq!(results.len(), 1);
-/// assert_eq!(results[0].1, 1); // BDI zeros encoding wins
-/// ```
-// pcm-audit: root(hotpath-alloc) — batch twin of compress_best_into; one Vec for the per-lane results is the only allowance
-pub fn compress_best_batch_into(
-    batch: &LineBatch64,
-    out: &mut [[u8; DATA_BYTES]],
-) -> Vec<(Method, usize)> {
-    let mut results = [(Method::Uncompressed, 0usize); BATCH_LANES];
-    let n = compress_best_batch(batch, out, &mut results[..batch.len()]);
-    results[..n].to_vec()
-}
-
-/// Fully allocation-free twin of [`compress_best_batch_into`]: per-lane
-/// `(method, payload_len)` results land in caller-owned `results` storage
-/// instead of a fresh `Vec`. Returns the number of lanes written. This is
-/// what the lockstep campaign rounds and the serve batch path call once
-/// per round; `compress_best_batch_into` delegates here.
-///
-/// # Panics
-///
-/// Panics if `out` or `results` has fewer slots than the batch has live
-/// lanes.
-// pcm-audit: root(hotpath-alloc) — per-round compression stage of the lockstep drivers; everything lands in caller-owned buffers
-pub fn compress_best_batch(
-    batch: &LineBatch64,
-    out: &mut [[u8; DATA_BYTES]],
-    results: &mut [(Method, usize)],
-) -> usize {
-    assert!(
-        out.len() >= batch.len() && results.len() >= batch.len(),
-        "need one output buffer and result slot per live lane"
-    );
-    for lane in 0..batch.len() {
-        results[lane] = compress_best_into(&batch.lane(lane), &mut out[lane]);
-    }
-    batch.len()
 }
 
 /// Decompresses a [`CompressedWrite`] back into the original line.

@@ -34,6 +34,8 @@
 //! assert_eq!(decompress(&c), line);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod bdi;
 pub mod best;
 pub mod bits;
@@ -41,10 +43,7 @@ pub mod fpc;
 pub mod fvc;
 
 pub use bdi::BdiEncoding;
-pub use best::{
-    compress_best, compress_best_batch, compress_best_batch_into, compress_best_into, decompress,
-    CompressedWrite, Method,
-};
+pub use best::{compress_best, compress_best_into, decompress, CompressedWrite, Method};
 pub use fvc::FvcDictionary;
 
 #[cfg(test)]

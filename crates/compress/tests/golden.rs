@@ -477,51 +477,3 @@ const EXPECTED: &[(&str, &str)] = &[
     ("rand-pointers-s42", "best=9:91376f574f4d76d08ced240c4f4d76d0b835d80c4f4d76d0736a84744f4d76d07dde504e4f4d76d056351a224f4d76d046cbd80e4f4d76d0c7cc95f04f4d76d0 bdi=none fpc=560:8fbc79bbfa53931df419db4918fed464077ddc1a6c863f35d9417f4e8d90ee4f4d76d0eff38672fa53931df4ad6a3444fed464077da3656c873f35d941ff98b912fe4f4d76d0"),
     ("rand-halfword-texture", "best=1:0d930d930d930d93 bdi=1:0d930d930d930d93 fpc=560:6f986c987cc364c3e41b261b26df30d930f986c986c9374c364cbe61b261f20d930d936f986c987cc364c3e41b261b26df30d930f986c986c9374c364cbe61b261f20d930d93"),
 ];
-
-/// The batch selector must reproduce the golden corpus byte-for-byte:
-/// every locked vector, pushed through `compress_best_batch_into` in one
-/// partial batch, yields exactly the method, size, and payload bytes the
-/// per-line path pins above — plus the partial-batch edge shapes (single
-/// lane, full 64-lane batch, empty batch).
-#[test]
-fn batch_path_reproduces_golden_vectors() {
-    use pcm_compress::compress_best_into;
-    use pcm_util::simd::LineBatch64;
-    use pcm_util::DATA_BYTES;
-
-    let corpus = corpus();
-    let check_batch = |lines: &[Line512]| {
-        let batch = LineBatch64::from_lines(lines);
-        let mut bufs = vec![[0u8; DATA_BYTES]; lines.len()];
-        let results = pcm_compress::compress_best_batch_into(&batch, &mut bufs);
-        assert_eq!(results.len(), lines.len());
-        for (lane, line) in lines.iter().enumerate() {
-            let mut want_buf = [0u8; DATA_BYTES];
-            let (want_method, want_len) = compress_best_into(line, &mut want_buf);
-            let (method, len) = results[lane];
-            assert_eq!(method, want_method, "method drift in lane {lane}");
-            assert_eq!(len, want_len, "size drift in lane {lane}");
-            assert_eq!(
-                bufs[lane][..len],
-                want_buf[..want_len],
-                "payload drift in lane {lane}"
-            );
-            // And against the golden wire format itself.
-            let best = compress_best(line);
-            assert_eq!(method, best.method());
-            assert_eq!(&bufs[lane][..len], best.bytes());
-        }
-    };
-
-    // The whole corpus as one partial batch (and lane-by-lane singles).
-    check_batch(&corpus.iter().map(|(_, l)| *l).collect::<Vec<_>>());
-    for (_, line) in &corpus {
-        check_batch(std::slice::from_ref(line));
-    }
-    // A full 64-lane batch: the corpus cycled until every lane is live.
-    let full: Vec<Line512> = corpus.iter().cycle().take(64).map(|(_, l)| *l).collect();
-    check_batch(&full);
-    // The empty batch compresses nothing and touches no buffer.
-    let empty = pcm_compress::compress_best_batch_into(&LineBatch64::new(), &mut []);
-    assert!(empty.is_empty());
-}

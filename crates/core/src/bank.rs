@@ -13,7 +13,7 @@
 
 use crate::controller::{MemoryStats, WriteError, WriteReport};
 use crate::line::{EccEngine, LineWriteReport, ManagedLine, Payload};
-use crate::payload::{choose_payload, choose_payload_precompressed, HostMeta, PayloadBufs};
+use crate::payload::{choose_payload, HostMeta, PayloadBufs};
 use crate::system::SystemConfig;
 use pcm_compress::{decompress, CompressedWrite, Method};
 use pcm_util::{seeded_rng, Line512};
@@ -134,30 +134,6 @@ impl BankCtl {
     /// cannot hold the payload) and [`WriteError::BadAddress`] for an
     /// out-of-range address.
     pub fn write(&mut self, idx: u64, data: Line512) -> Result<WriteReport, WriteError> {
-        self.write_precompressed(idx, data, None)
-    }
-
-    /// [`write`](Self::write) with the compression stage already done.
-    ///
-    /// `pre`, when present, must be exactly what
-    /// `pcm_compress::compress_best_into(&data)` would produce; the batch
-    /// selector (`compress_best_batch`) guarantees this lane for lane, so
-    /// a caller holding a whole run of requests can compress them through
-    /// one kernel call and replay the writes here with byte-identical
-    /// outcomes — compression is a pure function of the data, and every
-    /// stateful step (heuristic, wear, retirement) still runs per write in
-    /// arrival order. `pre` also covers a retire-redirected replay of the
-    /// same data; migration writes of *other* data always recompress.
-    ///
-    /// # Errors
-    ///
-    /// Exactly [`write`](Self::write)'s.
-    pub fn write_precompressed(
-        &mut self,
-        idx: u64,
-        data: Line512,
-        pre: Option<(Method, &[u8])>,
-    ) -> Result<WriteReport, WriteError> {
         if idx >= self.lines {
             return Err(WriteError::BadAddress);
         }
@@ -166,7 +142,7 @@ impl BankCtl {
         // death propagates exactly as before.
         let mut phys = self.phys_index(idx);
         let report = loop {
-            match self.write_to_phys(phys, idx, data, pre) {
+            match self.write_to_phys(phys, idx, data) {
                 Ok(r) => break r,
                 Err(e) => match self.scheme.retire_line(phys as u64) {
                     Some(spare) => phys = spare as usize,
@@ -261,23 +237,13 @@ impl BankCtl {
         phys: usize,
         idx: u64,
         data: Line512,
-        pre: Option<(Method, &[u8])>,
     ) -> Result<(LineWriteReport, bool), WriteError> {
         let kind = self.cfg.kind;
         // One stack-resident buffer pair per write: the storage decision
         // never heap-allocates (see crate::payload).
         let mut bufs = PayloadBufs::new();
-        let (mut method, new_meta, fallback) = match pre {
-            Some((m, payload)) => choose_payload_precompressed(
-                &self.cfg,
-                self.meta[idx as usize],
-                &data,
-                m,
-                payload,
-                &mut bufs,
-            ),
-            None => choose_payload(&self.cfg, self.meta[idx as usize], &data, &mut bufs),
-        };
+        let (mut method, new_meta, fallback) =
+            choose_payload(&self.cfg, self.meta[idx as usize], &data, &mut bufs);
         let preferred = if kind.rotates() {
             self.leveler.offset()
         } else {
@@ -407,7 +373,7 @@ impl BankCtl {
         let Some(data) = self.shadow[idx as usize] else {
             return; // never written: nothing to relocate
         };
-        match self.write_to_phys(to as usize, idx, data, None) {
+        match self.write_to_phys(to as usize, idx, data) {
             Ok(_) => {}
             Err(_) => {
                 self.stats.relocation_failures += 1;

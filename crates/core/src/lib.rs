@@ -40,6 +40,8 @@
 //! assert_eq!(mem.read(3).unwrap(), data);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod bank;
 pub mod controller;
 pub mod heuristic;

@@ -74,7 +74,7 @@ impl LineRecord {
 /// simulates, so the per-write hot path never touches the heap.
 #[derive(Debug, Default)]
 pub struct LineScratch {
-    pub(crate) bufs: PayloadBufs,
+    bufs: PayloadBufs,
 }
 
 impl LineScratch {
@@ -330,22 +330,12 @@ pub fn simulate_line_with(cfg: &LineSimConfig, seed: u64, scratch: &mut LineScra
 }
 
 /// Simulates one batch of lines (at most [`pcm_util::BATCH_LANES`] seeds)
-/// in lockstep, returning records in seed order.
+/// through a shared scratch, returning records in seed order.
 ///
 /// This is the campaign's unit of work: lines are handed to pool workers
-/// one whole batch at a time, and the lanes advance *together*, one
-/// sampled write per round — each round transposes every live lane's next
-/// trace write into [`pcm_util::simd::LineBatch64`] planes, compresses
-/// them through one `compress_best_batch` kernel call, and then finishes
-/// each write (heuristic decision, window checks, cell updates) per lane.
-/// A lane that reaches a control-flow boundary — death, revival,
-/// fast-forward, rotation, relocation — peels out of the round, replays
-/// the scalar boundary logic, and rejoins at its next sampled write.
-///
-/// Record `i` is byte-identical to `simulate_line_with(cfg, seeds[i], ..)`
-/// because compression is a pure function of the line data and every
-/// stateful step runs per lane in scalar program order; the differential
-/// tests in the `lockstep` module and the campaign suite pin this.
+/// one whole batch at a time, so every line of the batch reuses the
+/// worker's scratch. Record `i` is exactly
+/// `simulate_line_with(cfg, seeds[i], ..)`.
 ///
 /// # Panics
 ///
@@ -355,7 +345,16 @@ pub fn simulate_line_batch(
     seeds: &[u64],
     scratch: &mut LineScratch,
 ) -> Vec<LineRecord> {
-    super::lockstep::simulate_line_batch_lockstep(cfg, seeds, scratch).0
+    assert!(
+        seeds.len() <= pcm_util::BATCH_LANES,
+        "a batch holds at most {} lines, got {}",
+        pcm_util::BATCH_LANES,
+        seeds.len()
+    );
+    seeds
+        .iter()
+        .map(|&seed| simulate_line_with(cfg, seed, scratch))
+        .collect()
 }
 
 #[cfg(test)]

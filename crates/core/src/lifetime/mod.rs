@@ -26,7 +26,6 @@
 
 pub mod campaign;
 pub mod linesim;
-pub(crate) mod lockstep;
 pub mod mix;
 pub mod replay;
 

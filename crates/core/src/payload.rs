@@ -90,51 +90,6 @@ pub(crate) fn choose_payload(
     }
     let (method, len) = compress_best_into(data, &mut bufs.chosen);
     bufs.chosen_len = len;
-    finish_choice(cfg, meta, data, method, bufs)
-}
-
-/// [`choose_payload`] with the compression stage already done.
-///
-/// `method` and `payload` must be exactly what `compress_best_into(data)`
-/// would produce — the batch selector
-/// (`pcm_compress::compress_best_batch`) guarantees this lane for lane, so
-/// a batched caller can compress up to 64 lines in one kernel call and
-/// still reach byte-identical storage decisions: compression is a pure
-/// function of the data, and the stateful heuristic finish below runs per
-/// write in program order either way.
-pub(crate) fn choose_payload_precompressed(
-    cfg: &SystemConfig,
-    meta: HostMeta,
-    data: &Line512,
-    method: Method,
-    payload: &[u8],
-    bufs: &mut PayloadBufs,
-) -> (Method, HostMeta, Option<Method>) {
-    debug_assert!(cfg.kind.compresses());
-    #[cfg(debug_assertions)]
-    {
-        let mut check = [0u8; DATA_BYTES];
-        let (m, l) = compress_best_into(data, &mut check);
-        debug_assert_eq!(m, method, "precompressed method drifted from the selector");
-        debug_assert_eq!(&check[..l], payload, "precompressed payload drifted");
-    }
-    bufs.fallback_len = 0;
-    bufs.chosen[..payload.len()].copy_from_slice(payload);
-    bufs.chosen_len = payload.len();
-    finish_choice(cfg, meta, data, method, bufs)
-}
-
-/// The heuristic finishing step shared by [`choose_payload`] and
-/// [`choose_payload_precompressed`]: `bufs.chosen` already holds the
-/// selector's output for `data`.
-fn finish_choice(
-    cfg: &SystemConfig,
-    meta: HostMeta,
-    data: &Line512,
-    method: Method,
-    bufs: &mut PayloadBufs,
-) -> (Method, HostMeta, Option<Method>) {
-    let len = bufs.chosen_len;
     if method == Method::Uncompressed {
         // The selector already materialized the 64 raw bytes in `chosen`.
         return (Method::Uncompressed, meta, None);

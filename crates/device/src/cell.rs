@@ -312,7 +312,7 @@ impl LineWear {
     /// kernels — program the non-stuck diff bits, step their wear lanes,
     /// and materialize stuck-at faults for the lanes that just died. The
     /// per-bit loop below ([`Self::write_per_bit`]) is the reference
-    /// semantic; the differential rig in `tests/dw_batch_equiv.rs` pins
+    /// semantic; the differential rig in `tests/wear_model_equiv.rs` pins
     /// the equivalence against an independent model.
     fn write_slc(&mut self, diff: Line512) -> WriteOutcome {
         let flips = diff.count_ones();

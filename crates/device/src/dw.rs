@@ -13,7 +13,7 @@
 //! the chunk. The paper's baseline uses plain DW; Flip-N-Write is provided
 //! as the ablation extension.
 
-use pcm_util::simd::{self, LineBatch64, BATCH_LANES};
+use pcm_util::simd;
 use pcm_util::Line512;
 use serde::{Deserialize, Serialize};
 
@@ -192,100 +192,6 @@ impl FlipNWrite {
         }
         Line512::from_words(words)
     }
-}
-
-/// The outcome of a batch differential write: per-lane flip and SET masks
-/// in struct-of-arrays layout, so flip/pulse statistics for all lanes come
-/// out of whole-plane popcount kernels.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DiffWriteBatch {
-    flip: LineBatch64,
-    set: LineBatch64,
-}
-
-impl DiffWriteBatch {
-    /// Number of live lanes.
-    pub fn len(&self) -> usize {
-        self.flip.len()
-    }
-
-    /// Returns `true` if no lane is live.
-    pub fn is_empty(&self) -> bool {
-        self.flip.is_empty()
-    }
-
-    /// The per-lane flip masks as a batch.
-    pub fn flip_batch(&self) -> &LineBatch64 {
-        &self.flip
-    }
-
-    /// One lane's differential write (matches [`diff_write`] on that lane).
-    pub fn lane(&self, lane: usize) -> DiffWrite {
-        DiffWrite {
-            flip_mask: self.flip.lane(lane),
-            set_mask: self.set.lane(lane),
-        }
-    }
-
-    /// Per-lane programmed-cell counts (dead lanes report 0).
-    pub fn flips(&self) -> [u32; BATCH_LANES] {
-        simd::batch_popcount(&self.flip)
-    }
-
-    /// Per-lane SET-pulse counts.
-    pub fn sets(&self) -> [u32; BATCH_LANES] {
-        simd::batch_popcount(&self.set)
-    }
-
-    /// Per-lane flip counts within the byte window `[offset, offset + len)`.
-    pub fn flips_in_window(&self, offset: usize, len: usize) -> [u32; BATCH_LANES] {
-        simd::batch_window_popcount(&self.flip, offset, len)
-    }
-}
-
-/// Computes the differential writes of `new` over `old` for every live lane
-/// of a batch as a [`DiffWriteBatch`]. Lane `i` matches
-/// `diff_write(&old.lane(i), &new.lane(i))`.
-///
-/// # Panics
-///
-/// Panics if the batches have different live lanes.
-// pcm-audit: root(hotpath-alloc) — whole-plane SIMD kernels only; allocation here would defeat the batch layout
-pub fn diff_write_batch(old: &LineBatch64, new: &LineBatch64) -> DiffWriteBatch {
-    let flip = simd::batch_xor(old, new);
-    let set = simd::batch_and(&flip, new);
-    DiffWriteBatch { flip, set }
-}
-
-/// Applies Flip-N-Write to every live lane of a batch: `fnws[i]` encodes
-/// `data` lane `i` over `stored` lane `i`. Returns the new stored lines as
-/// a batch plus the per-lane flip counts (dead lanes report 0).
-///
-/// Lane `i` matches `fnws[i].write(&stored.lane(i), &data.lane(i))`.
-///
-/// # Panics
-///
-/// Panics unless `fnws.len()` equals the batch length and both batches
-/// have the same live lanes.
-pub fn flip_n_write_batch(
-    fnws: &mut [FlipNWrite],
-    stored: &LineBatch64,
-    data: &LineBatch64,
-) -> (LineBatch64, [u32; BATCH_LANES]) {
-    assert_eq!(
-        stored.live_mask(),
-        data.live_mask(),
-        "batches have different live lanes"
-    );
-    assert_eq!(fnws.len(), stored.len(), "one FlipNWrite state per lane");
-    let mut out = LineBatch64::new();
-    let mut flips = [0u32; BATCH_LANES];
-    for (lane, fnw) in fnws.iter_mut().enumerate() {
-        let (new_stored, lane_flips) = fnw.write(&stored.lane(lane), &data.lane(lane));
-        out.push(&new_stored);
-        flips[lane] = lane_flips;
-    }
-    (out, flips)
 }
 
 #[cfg(test)]

@@ -29,6 +29,8 @@
 //! assert_eq!(diff_write(&old, &new).flips(), 512);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod access;
 pub mod cell;
 pub mod dw;
@@ -37,9 +39,7 @@ pub mod organization;
 pub mod timing;
 
 pub use cell::{CellTech, EnduranceModel, LineWear, WriteOutcome};
-pub use dw::{
-    diff_write, diff_write_batch, flip_n_write_batch, DiffWrite, DiffWriteBatch, FlipNWrite,
-};
+pub use dw::{diff_write, DiffWrite, FlipNWrite};
 pub use energy::EnergyModel;
 pub use organization::{BankAddress, MemoryGeometry};
 pub use timing::TimingParams;

@@ -1,32 +1,18 @@
-//! Differential rig for the batch differential-write path and the SLC
-//! lane-kernel wear model.
+//! Differential rig for the SLC lane-kernel wear model.
 //!
-//! Two layers are pinned here. The batch entry points
-//! (`diff_write_batch`, `flip_n_write_batch`) must match their per-line
-//! twins lane for lane on partial batches. Below them, `LineWear`'s SLC
-//! write path — whole-line lane kernels plus the death-free slack fast
-//! path — must match an *independent* per-bit model reimplemented from
-//! the documented semantics, over long write/fast-forward sequences that
-//! drive cells through death (the only events where the fast path, the
-//! stale-bound recomputation, and the fault materialization interact).
+//! `LineWear`'s SLC write path — whole-line lane kernels plus the
+//! death-free slack fast path — must match an *independent* per-bit model
+//! reimplemented from the documented semantics, over long
+//! write/fast-forward sequences that drive cells through death (the only
+//! events where the fast path, the stale-bound recomputation, and the
+//! fault materialization interact).
 
-use pcm_device::{diff_write, diff_write_batch, flip_n_write_batch, FlipNWrite, LineWear};
-use pcm_util::simd::{LineBatch64, BATCH_LANES};
+use pcm_device::LineWear;
 use pcm_util::{Line512, DATA_BITS};
 use proptest::prelude::*;
 
 fn arb_line() -> impl Strategy<Value = Line512> {
     prop::array::uniform8(any::<u64>()).prop_map(Line512::from_words)
-}
-
-/// Two equally long line vectors (lane-paired batches).
-fn arb_line_pairs() -> impl Strategy<Value = (Vec<Line512>, Vec<Line512>)> {
-    (1..=BATCH_LANES).prop_flat_map(|n| {
-        (
-            prop::collection::vec(arb_line(), n),
-            prop::collection::vec(arb_line(), n),
-        )
-    })
 }
 
 /// One step of a wear-model interaction: a differential write or an
@@ -120,59 +106,6 @@ fn assert_state_matches(line: &LineWear, model: &RefSlc) -> Result<(), String> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
-
-    /// Every lane of a batch differential write matches the per-line
-    /// `diff_write`, including the derived per-lane statistics.
-    #[test]
-    fn diff_write_batch_matches_per_lane(pair in arb_line_pairs()) {
-        let (olds, news) = pair;
-        let old = LineBatch64::from_lines(&olds);
-        let new = LineBatch64::from_lines(&news);
-        let batch = diff_write_batch(&old, &new);
-        prop_assert_eq!(batch.len(), olds.len());
-        let flips = batch.flips();
-        let sets = batch.sets();
-        let window = batch.flips_in_window(9, 48);
-        for lane in 0..olds.len() {
-            let dw = diff_write(&olds[lane], &news[lane]);
-            prop_assert_eq!(batch.lane(lane), dw, "lane {}", lane);
-            prop_assert_eq!(flips[lane], dw.flips());
-            prop_assert_eq!(sets[lane], dw.sets());
-            prop_assert_eq!(window[lane], dw.flips_in_window(9, 48));
-            prop_assert_eq!(batch.flip_batch().lane(lane), dw.flip_mask());
-        }
-        for lane in olds.len()..BATCH_LANES {
-            prop_assert_eq!(flips[lane], 0);
-            prop_assert_eq!(sets[lane], 0);
-            prop_assert_eq!(window[lane], 0);
-        }
-    }
-
-    /// Every lane of a batch Flip-N-Write matches the per-line encoder
-    /// run on an identical cloned state, and decodes back to the data.
-    #[test]
-    fn flip_n_write_batch_matches_per_lane(
-        pair in arb_line_pairs(),
-        chunk_bits in prop::sample::select(vec![4usize, 8, 16, 32, 64, 128]),
-    ) {
-        let (stored_lines, data_lines) = pair;
-        let stored = LineBatch64::from_lines(&stored_lines);
-        let data = LineBatch64::from_lines(&data_lines);
-        let mut fnws = vec![FlipNWrite::new(chunk_bits); stored_lines.len()];
-        let mut refs = fnws.clone();
-        let (out, flips) = flip_n_write_batch(&mut fnws, &stored, &data);
-        prop_assert_eq!(out.len(), stored_lines.len());
-        for lane in 0..stored_lines.len() {
-            let (want_stored, want_flips) =
-                refs[lane].write(&stored_lines[lane], &data_lines[lane]);
-            prop_assert_eq!(out.lane(lane), want_stored, "lane {}", lane);
-            prop_assert_eq!(flips[lane], want_flips, "lane {}", lane);
-            prop_assert_eq!(fnws[lane].decode(&out.lane(lane)), data_lines[lane]);
-        }
-        for lane in stored_lines.len()..BATCH_LANES {
-            prop_assert_eq!(flips[lane], 0);
-        }
-    }
 
     /// The SLC lane-kernel write path (slack fast path, `wear_step`,
     /// fault materialization, stale-bound recomputation) matches the

@@ -35,6 +35,8 @@
 //! assert!(!ecp6.can_store(&[1, 2, 3, 4, 5, 6, 7]));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod aegis;
 pub mod coset;
 pub mod ecp;
@@ -51,7 +53,7 @@ pub use coset::Coset;
 pub use ecp::Ecp;
 pub use montecarlo::{failure_probability, MonteCarlo};
 pub use safer::Safer;
-pub use scheme::{count_window_failures, find_window, EccError, HardErrorScheme};
+pub use scheme::{find_window, EccError, HardErrorScheme};
 pub use secded::Secded;
 
 #[cfg(test)]

@@ -8,9 +8,8 @@
 //! `(scheme, W, k)` point yields the failure probability
 //! (`1 − reliability`) curves of Fig. 9.
 
-use crate::scheme::{count_window_failures, HardErrorScheme};
-use pcm_util::simd::LineBatch64;
-use pcm_util::{child_seed, seeded_rng, Line512, Pool, BATCH_LANES, DATA_BITS};
+use crate::scheme::HardErrorScheme;
+use pcm_util::{child_seed, seeded_rng, Pool, DATA_BITS, DATA_BYTES};
 use rand::RngExt;
 use serde::{Deserialize, Serialize};
 
@@ -66,6 +65,30 @@ fn sample_positions<R: rand::Rng>(
     out.sort_unstable();
 }
 
+/// One injection's verdict: `true` when no byte-aligned `window_bytes`
+/// window of a line with faults at the sorted `positions` can be stored,
+/// exactly `find_window(scheme, positions, window_bytes).is_none()`.
+///
+/// A window holding at most `guaranteed` faults is feasible by the trait
+/// contract (deterministic correction regardless of position; the
+/// `guaranteed_faults_round_trip` property test pins this for every
+/// scheme), so it is accepted without a
+/// [`can_store`](HardErrorScheme::can_store) call.
+fn no_window_fits(
+    scheme: &dyn HardErrorScheme,
+    positions: &[u16],
+    window_bytes: usize,
+    guaranteed: u32,
+) -> bool {
+    (0..=DATA_BYTES - window_bytes).all(|offset| {
+        let lo = (offset * 8) as u16;
+        let hi = ((offset + window_bytes) * 8) as u16;
+        let start = positions.partition_point(|&p| p < lo);
+        let end = positions.partition_point(|&p| p < hi);
+        (end - start) as u32 > guaranteed && !scheme.can_store(&positions[start..end])
+    })
+}
+
 /// Estimates the probability that a block with `errors` uniformly-placed
 /// faults **cannot** store a `window_bytes`-byte payload under `scheme`.
 ///
@@ -94,59 +117,37 @@ pub(crate) fn failure_probability_on(
     errors: usize,
     mc: &MonteCarlo,
 ) -> f64 {
+    assert!(
+        (1..=DATA_BYTES).contains(&window_bytes),
+        "window must be 1..=64 bytes, got {window_bytes}"
+    );
     assert!(errors <= DATA_BITS, "at most 512 faults fit a line");
     assert!(mc.injections > 0, "need at least one injection");
 
     // Work is split into fixed-size batches of injections seeded by batch
     // index, not by worker id, so the estimate is bit-identical for every
     // thread count (each injection sees the same RNG stream no matter which
-    // worker claims its batch, and u64 summation commutes). Within a batch,
-    // injections are independent by construction, so they are evaluated in
-    // waves of up to `BATCH_LANES`: positions are sampled per injection in
-    // RNG order (the stream is unchanged), transposed into `LineBatch64`
-    // fault masks, and the whole wave's window search runs through one
-    // `count_window_failures` sweep — whose per-lane verdict equals
-    // `find_window(..).is_none()` exactly. The shuffle scratch and the
-    // wave buffers live in per-worker scratch, reused across every batch a
-    // worker claims.
+    // worker claims its batch, and u64 summation commutes). The shuffle
+    // scratch and the sampled-position buffer live in per-worker scratch,
+    // reused across every batch a worker claims.
     const BATCH: usize = 1_024;
     let batches = mc.injections.div_ceil(BATCH);
+    let guaranteed = scheme.guaranteed();
 
     let per_batch: Vec<u64> = pool.map_indexed_with(
         batches,
         1,
-        || {
-            (
-                [0u16; DATA_BITS],
-                Vec::with_capacity(errors),
-                Vec::with_capacity(errors * BATCH_LANES),
-                Vec::with_capacity(BATCH_LANES),
-            )
-        },
-        |(scratch, positions, wave_positions, lane_ends), c| {
+        || ([0u16; DATA_BITS], Vec::with_capacity(errors)),
+        |(scratch, positions), c| {
             let lo = c * BATCH;
             let hi = (lo + BATCH).min(mc.injections);
             let mut rng = seeded_rng(child_seed(mc.seed, c as u64));
             let mut fail = 0u64;
-            let mut remaining = hi - lo;
-            while remaining > 0 {
-                let wave = remaining.min(BATCH_LANES);
-                let mut masks = LineBatch64::new();
-                wave_positions.clear();
-                lane_ends.clear();
-                for _ in 0..wave {
-                    sample_positions(&mut rng, errors, scratch, positions);
-                    let mut mask = Line512::zero();
-                    for &p in positions.iter() {
-                        mask.set_bit(p as usize, true);
-                    }
-                    masks.push(&mask);
-                    wave_positions.extend_from_slice(positions);
-                    lane_ends.push(wave_positions.len());
+            for _ in lo..hi {
+                sample_positions(&mut rng, errors, scratch, positions);
+                if no_window_fits(scheme, positions, window_bytes, guaranteed) {
+                    fail += 1;
                 }
-                fail +=
-                    count_window_failures(scheme, &masks, wave_positions, lane_ends, window_bytes);
-                remaining -= wave;
             }
             fail
         },
@@ -197,7 +198,7 @@ pub fn failure_surface(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Aegis, Ecp, Safer};
+    use crate::{find_window, Aegis, Ecp, Safer};
 
     fn quick_mc() -> MonteCarlo {
         MonteCarlo {
@@ -307,6 +308,36 @@ mod tests {
             assert_eq!(pos.len(), k);
             assert!(pos.windows(2).all(|w| w[0] < w[1]), "distinct & sorted");
             assert!(pos.iter().all(|&p| (p as usize) < DATA_BITS));
+        }
+    }
+
+    #[test]
+    fn injection_verdict_matches_find_window() {
+        // Random fault sets of widely varying density, several schemes
+        // and window sizes: the guaranteed() shortcut must never change
+        // the verdict of the plain window search.
+        let schemes: [&dyn HardErrorScheme; 3] =
+            [&Ecp::new(6), &Safer::new(32), &Aegis::new(17, 31)];
+        let mut rng = seeded_rng(0xF16_9);
+        for scheme in schemes {
+            for window_bytes in [1usize, 16, 48, 64] {
+                for _ in 0..64 {
+                    let k = rng.random_range(0..40usize);
+                    let mut faults: Vec<u16> = (0..k)
+                        .map(|_| rng.random_range(0..DATA_BITS as u16))
+                        .collect();
+                    faults.sort_unstable();
+                    faults.dedup();
+                    assert_eq!(
+                        no_window_fits(scheme, &faults, window_bytes, scheme.guaranteed()),
+                        find_window(scheme, &faults, window_bytes).is_none(),
+                        "{} window {} faults {:?}",
+                        scheme.name(),
+                        window_bytes,
+                        faults
+                    );
+                }
+            }
         }
     }
 }

@@ -147,84 +147,9 @@ pub fn find_window(
     None
 }
 
-/// Batch twin of [`find_window`] for up to 64 independent fault sets:
-/// returns how many lanes have **no** feasible window — the Fig. 9
-/// Monte-Carlo failure count.
-///
-/// `masks` holds each lane's faults as a set-bit mask (struct-of-arrays,
-/// so one [`pcm_util::simd::batch_window_popcount`] call counts a window's
-/// faults across all lanes at once); `positions` holds the same faults as
-/// sorted bit indices, lane `i` occupying
-/// `positions[lane_ends[i-1]..lane_ends[i]]`.
-///
-/// Lane `i`'s verdict is exactly
-/// `find_window(scheme, positions_i, window_bytes).is_none()`: a window
-/// whose fault count is at most [`guaranteed`](HardErrorScheme::guaranteed)
-/// is feasible by the trait contract (deterministic correction regardless
-/// of position — the `guaranteed_faults_round_trip` property test pins
-/// this for every scheme), so the popcount sweep resolves those lanes
-/// without touching [`can_store`](HardErrorScheme::can_store); denser
-/// windows fall back to the scalar subset check.
-///
-/// # Panics
-///
-/// Panics if `window_bytes` is outside `1..=64` or `lane_ends` does not
-/// describe one fault run per live lane.
-pub fn count_window_failures(
-    scheme: &dyn HardErrorScheme,
-    masks: &pcm_util::simd::LineBatch64,
-    positions: &[u16],
-    lane_ends: &[usize],
-    window_bytes: usize,
-) -> u64 {
-    assert!(
-        (1..=pcm_util::DATA_BYTES).contains(&window_bytes),
-        "window must be 1..=64 bytes, got {window_bytes}"
-    );
-    assert_eq!(lane_ends.len(), masks.len(), "one fault run per lane");
-    assert_eq!(
-        lane_ends.last().copied().unwrap_or(0),
-        positions.len(),
-        "lane runs must cover the position buffer"
-    );
-    let lanes = masks.len();
-    if lanes == 0 {
-        return 0;
-    }
-    let guaranteed = scheme.guaranteed();
-    let mut unresolved: u64 = if lanes == 64 { !0 } else { (1u64 << lanes) - 1 };
-    for offset in 0..=(pcm_util::DATA_BYTES - window_bytes) {
-        if unresolved == 0 {
-            break;
-        }
-        let counts = pcm_util::simd::batch_window_popcount(masks, offset, window_bytes);
-        let mut pending = unresolved;
-        while pending != 0 {
-            let lane = pending.trailing_zeros() as usize;
-            pending &= pending - 1;
-            let feasible = counts[lane] <= guaranteed || {
-                let lane_lo = if lane == 0 { 0 } else { lane_ends[lane - 1] };
-                let faults = &positions[lane_lo..lane_ends[lane]];
-                let lo = (offset * 8) as u16;
-                let hi = ((offset + window_bytes) * 8) as u16;
-                let start = faults.partition_point(|&p| p < lo);
-                let end = faults.partition_point(|&p| p < hi);
-                scheme.can_store(&faults[start..end])
-            };
-            if feasible {
-                unresolved &= !(1u64 << lane);
-            }
-        }
-    }
-    unresolved.count_ones() as u64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Aegis, Ecp, Safer};
-    use pcm_util::simd::LineBatch64;
-    use rand::RngExt;
 
     #[test]
     fn error_display() {
@@ -233,53 +158,5 @@ mod tests {
             faults: 9,
         };
         assert_eq!(e.to_string(), "ECP-6 cannot mask 9 faulty cells");
-    }
-
-    #[test]
-    fn batch_window_failures_match_scalar_search() {
-        // Random fault sets of widely varying density, partial and full
-        // batches, several schemes and window sizes: the batch verdicts
-        // must equal find_window's, lane for lane.
-        let schemes: [&dyn HardErrorScheme; 3] =
-            [&Ecp::new(6), &Safer::new(32), &Aegis::new(17, 31)];
-        let mut rng = pcm_util::seeded_rng(0xF16_9);
-        for scheme in schemes {
-            for window_bytes in [1usize, 16, 48, 64] {
-                for lanes in [1usize, 7, 64] {
-                    let mut masks = LineBatch64::new();
-                    let mut positions: Vec<u16> = Vec::new();
-                    let mut lane_ends = Vec::new();
-                    let mut want = 0u64;
-                    for _ in 0..lanes {
-                        let k = rng.random_range(0..40usize);
-                        let mut faults: Vec<u16> = (0..k)
-                            .map(|_| rng.random_range(0..pcm_util::DATA_BITS as u16))
-                            .collect();
-                        faults.sort_unstable();
-                        faults.dedup();
-                        let mut mask = Line512::zero();
-                        for &p in &faults {
-                            mask.set_bit(p as usize, true);
-                        }
-                        masks.push(&mask);
-                        if find_window(scheme, &faults, window_bytes).is_none() {
-                            want += 1;
-                        }
-                        positions.extend_from_slice(&faults);
-                        lane_ends.push(positions.len());
-                    }
-                    let got =
-                        count_window_failures(scheme, &masks, &positions, &lane_ends, window_bytes);
-                    assert_eq!(
-                        got,
-                        want,
-                        "{} window {} lanes {}",
-                        scheme.name(),
-                        window_bytes,
-                        lanes
-                    );
-                }
-            }
-        }
     }
 }

@@ -22,11 +22,9 @@
 
 use crate::router::route;
 use crate::telemetry::{BankSnapshot, BankTelemetry, LatencyHist, Snapshot};
-use pcm_compress::{compress_best_batch, Method};
 use pcm_core::{BankCtl, EccChoice, SystemConfig, SystemKind, WearChoice, WriteError};
 use pcm_device::timing::TimingParams;
-use pcm_util::simd::LineBatch64;
-use pcm_util::{child_seed, Line512, Pool, BATCH_LANES, DATA_BYTES};
+use pcm_util::{child_seed, Line512, Pool};
 
 /// Serve-engine configuration. One value of this struct plus a request
 /// script fully determines every counter the daemon will ever report.
@@ -108,10 +106,7 @@ impl BankShard {
         &self.telem
     }
 
-    /// Books one request's arrival into the queueing/latency telemetry and
-    /// returns the request's latency. Shared verbatim by the serial and
-    /// batch paths so the two can never drift on timing.
-    fn account(&mut self, timing: &TimingParams, w: &ScriptedWrite) -> u64 {
+    fn apply_write(&mut self, timing: &TimingParams, w: &ScriptedWrite) -> Result<u64, WriteError> {
         self.telem.writes += 1;
         // The bank is busy until its previous write finished; queueing
         // delay is the gap between arrival and service start.
@@ -120,18 +115,7 @@ impl BankShard {
         self.telem.free_at = done;
         let latency = done - w.at;
         self.telem.latency.record(latency);
-        latency
-    }
-
-    /// Folds one write outcome into the failure counters — the exact
-    /// `WriteError` taxonomy of the serial path, shared with the batch
-    /// path.
-    fn record_outcome(
-        &mut self,
-        result: Result<pcm_core::WriteReport, WriteError>,
-        latency: u64,
-    ) -> Result<u64, WriteError> {
-        match result {
+        match self.ctl.write(w.line, w.data) {
             Ok(_) => Ok(latency),
             Err(e) => {
                 match e {
@@ -139,53 +123,6 @@ impl BankShard {
                     WriteError::BadAddress => self.telem.bad_addresses += 1,
                 }
                 Err(e)
-            }
-        }
-    }
-
-    fn apply_write(&mut self, timing: &TimingParams, w: &ScriptedWrite) -> Result<u64, WriteError> {
-        let latency = self.account(timing, w);
-        let result = self.ctl.write(w.line, w.data);
-        self.record_outcome(result, latency)
-    }
-
-    /// Serves a run of queued requests in arrival order, compressing each
-    /// chunk of up to [`BATCH_LANES`] payloads through one
-    /// [`compress_best_batch`] kernel call before the per-request writes
-    /// run. Telemetry, latency accounting, and `WriteError` semantics are
-    /// shared with [`apply_write`], so the outcome is byte-identical to
-    /// serving the requests one at a time (pinned by
-    /// `batch_and_serial_paths_agree` and the replay suite).
-    // pcm-audit: root(hotpath-alloc) — per-bank batch write path of the serve engine; payloads land in fixed lane planes and stack buffers
-    pub(crate) fn apply_batch(&mut self, timing: &TimingParams, reqs: &[&ScriptedWrite]) {
-        if !self.ctl.config().kind.compresses() {
-            for w in reqs {
-                // Outcomes are folded into the shard's own telemetry;
-                // per-request results are not needed on the batch path.
-                let _ = self.apply_write(timing, w);
-            }
-            return;
-        }
-        let mut payloads = [[0u8; DATA_BYTES]; BATCH_LANES];
-        let mut methods = [(Method::Uncompressed, 0usize); BATCH_LANES];
-        for chunk in reqs.chunks(BATCH_LANES) {
-            let mut batch = LineBatch64::new();
-            for w in chunk {
-                // pcm-audit: allow(hotpath-alloc) — LineBatch64::push transposes into fixed lane planes; no heap involved
-                batch.push(&w.data);
-            }
-            compress_best_batch(
-                &batch,
-                &mut payloads[..chunk.len()],
-                &mut methods[..chunk.len()],
-            );
-            for (i, w) in chunk.iter().enumerate() {
-                let latency = self.account(timing, w);
-                let (m, len) = methods[i];
-                let result =
-                    self.ctl
-                        .write_precompressed(w.line, w.data, Some((m, &payloads[i][..len])));
-                let _ = self.record_outcome(result, latency);
             }
         }
     }
@@ -293,7 +230,11 @@ impl Engine {
             self.banks.iter_mut().zip(parts).collect();
         let timing = self.timing;
         self.pool.map_each_mut(&mut work, |_, (shard, reqs)| {
-            shard.apply_batch(&timing, reqs);
+            for w in reqs {
+                // Outcomes are folded into the shard's own telemetry;
+                // per-request results are not needed on the batch path.
+                let _ = shard.apply_write(&timing, w);
+            }
         });
     }
 
@@ -399,9 +340,8 @@ mod tests {
     #[test]
     fn batch_agrees_when_a_line_dies_mid_batch() {
         // Tiny endurance plus a hammered single line: deaths (and CompWF
-        // resurrection attempts) land in the middle of 64-request chunks,
-        // so the batch path must peel failed writes without disturbing the
-        // telemetry of their neighbors.
+        // resurrection attempts) land mid-script, and the per-bank replay
+        // must count them exactly as serving one request at a time does.
         let mut cfg = ServeConfig::new(29);
         cfg.banks = 2;
         cfg.lines_per_bank = 4;
@@ -425,8 +365,8 @@ mod tests {
     #[test]
     fn batch_agrees_with_bad_addresses_interleaved() {
         // Every 7th request targets one-past-the-end: BadAddress outcomes
-        // must be counted identically whether the chunk compressed the
-        // doomed payload or the serial path rejected it up front.
+        // must be counted identically by the per-bank replay and the
+        // serial path.
         let cfg = ServeConfig::new(31);
         let lines = cfg.lines_per_bank;
         let mut script = TrafficGen::new(&cfg).script_until(120_000);
@@ -441,22 +381,21 @@ mod tests {
     }
 
     #[test]
-    fn batch_agrees_on_partial_final_chunk() {
-        // A single bank receiving a run that is deliberately not a
-        // multiple of BATCH_LANES: the trailing partial chunk must behave
-        // exactly like full ones.
+    fn batch_agrees_on_a_single_bank() {
+        // A single bank: the whole script is one partition, replayed in
+        // arrival order.
         let mut cfg = ServeConfig::new(37);
         cfg.banks = 1;
         let mut script = TrafficGen::new(&cfg).script_until(400_000);
-        script.truncate(2 * pcm_util::BATCH_LANES + 17);
+        script.truncate(145);
         assert_eq!(script.len(), 145);
         assert_batch_matches_serial(cfg, &script);
     }
 
     #[test]
     fn batch_agrees_for_non_compressing_system() {
-        // Baseline skips the compression stage entirely; the batch path
-        // must fall back to the serial write body per request.
+        // Baseline stores every line raw; its per-bank replay must match
+        // the serial path too.
         let mut cfg = ServeConfig::new(41);
         cfg.system = SystemKind::Baseline;
         cfg.endurance_mean = 2_000.0;

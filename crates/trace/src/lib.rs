@@ -35,6 +35,8 @@
 //! assert!(record.line < 1024);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod calibrate;
 pub mod content;
 pub mod generator;

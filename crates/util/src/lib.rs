@@ -24,6 +24,8 @@
 //! assert_eq!(line.count_ones(), 1 + 5); // 0xAB has five set bits
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod dist;
 pub mod fault;
 pub mod line;
@@ -35,7 +37,7 @@ pub mod vclock;
 pub use fault::{FaultMap, FaultPlan, StuckAt};
 pub use line::{Line512, DATA_BITS, DATA_BYTES};
 pub use pool::Pool;
-pub use simd::{LineBatch64, BATCH_LANES};
+pub use simd::BATCH_LANES;
 pub use vclock::ArrivalStream;
 
 use rand::rngs::StdRng;

@@ -31,6 +31,8 @@
 //! assert_ne!(sg.map(3), before);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub(crate) mod intra_line;
 pub mod scheme;
 pub(crate) mod security_refresh;

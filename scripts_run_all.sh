@@ -112,40 +112,6 @@ if ! /usr/bin/timeout 3000 cargo run -q --release -p pcm-bench --bin pcm-bench-h
 fi
 echo "   ok ($(wc -l < results/bench_hotpath.txt) lines)"
 
-# Dual-build equivalence: the differential kernel rigs must pass with the
-# `simd` feature compiled in, and a smoke bench of the scalar and vector
-# builds must produce bit-identical checksums (DESIGN.md §13) — only the
-# timing fields may differ between the two reports.
-echo "== simd =="
-if ! /usr/bin/timeout 3000 cargo test -q --release \
-    -p pcm-util -p pcm-device -p pcm-compress --features pcm-util/simd \
-    > results/simd_tests.txt 2>&1; then
-  echo "   SIMD TESTS FAILED (see results/simd_tests.txt)" >&2
-  tail -n 20 results/simd_tests.txt >&2
-  exit 1
-fi
-if ! /usr/bin/timeout 3000 cargo run -q --release -p pcm-bench --bin pcm-bench-hotpath -- \
-    --smoke --out results/simd_smoke_scalar.json > results/simd_bench.txt 2>&1; then
-  echo "   SIMD BENCH (scalar build) FAILED (see results/simd_bench.txt)" >&2
-  tail -n 20 results/simd_bench.txt >&2
-  exit 1
-fi
-if ! /usr/bin/timeout 3000 cargo run -q --release -p pcm-bench --features pcm-util/simd \
-    --bin pcm-bench-hotpath -- \
-    --smoke --out results/simd_smoke_vector.json >> results/simd_bench.txt 2>&1; then
-  echo "   SIMD BENCH (vector build) FAILED (see results/simd_bench.txt)" >&2
-  tail -n 20 results/simd_bench.txt >&2
-  exit 1
-fi
-if ! diff <(grep '"checksum"' results/simd_smoke_scalar.json) \
-          <(grep '"checksum"' results/simd_smoke_vector.json) \
-          > results/simd_checksums.txt 2>&1; then
-  echo "   SIMD CHECKSUM DRIFT (scalar and vector builds disagree)" >&2
-  tail -n 20 results/simd_checksums.txt >&2
-  exit 1
-fi
-echo "   ok ($(grep -c '"checksum"' results/simd_smoke_scalar.json) checksums identical across builds)"
-
 # Serve smoke: a short seeded daemon run must come up, serve the built-in
 # open-loop generator in virtual time, report sane telemetry, and exit
 # cleanly. The replay suite (tests/serve_replay.rs) owns the byte-identity

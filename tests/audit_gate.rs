@@ -124,44 +124,6 @@ fn audit_stage_emits_the_json_twin() {
 }
 
 #[test]
-fn simd_stage_runs_dual_build_and_compares_checksums() {
-    let script = gate_script();
-    let simd = script
-        .find("== simd ==")
-        .expect("simd stage marker present");
-    let serve = script.find("== serve ==").expect("serve stage present");
-    assert!(
-        simd < serve,
-        "dual-build equivalence runs before the serve smoke"
-    );
-    let bench = script
-        .find("== bench hotpath ==")
-        .expect("bench stage present");
-    assert!(bench < simd, "the ratcheted bench stage runs first");
-    let stage = &script[simd..serve];
-    assert!(
-        stage.contains("--features pcm-util/simd"),
-        "simd stage must build the vector feature: tests and bench both"
-    );
-    assert!(
-        stage.contains("cargo test"),
-        "simd stage must re-run the differential test rigs with the feature on"
-    );
-    assert!(
-        stage.contains(r#"grep '"checksum"'"#) && stage.contains("diff"),
-        "simd stage must compare scalar- and vector-build bench checksums"
-    );
-    assert!(
-        stage.matches("exit 1").count() >= 3,
-        "every simd stage step must abort the gate non-zero"
-    );
-    assert!(
-        !stage.contains("if [ \"$"),
-        "simd stage must not be gated on a script flag:\n{stage}"
-    );
-}
-
-#[test]
 fn rivals_stage_is_present_ordered_and_unconditional() {
     let script = gate_script();
     let rivals = script
@@ -200,7 +162,7 @@ fn bench_stage_is_ratcheted_against_the_committed_reports() {
     let bench = script
         .find("== bench hotpath ==")
         .expect("bench stage present");
-    let next = script.find("== simd ==").expect("simd stage present");
+    let next = script.find("== serve ==").expect("serve stage present");
     let stage = &script[bench..next];
     assert!(
         stage.contains("--ratchet results/BENCH_hotpath_smoke.json"),
