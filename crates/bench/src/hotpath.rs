@@ -257,7 +257,7 @@ fn linesim_matrix(smoke: bool) -> Vec<(SystemKind, EccChoice)> {
     let eccs: &[EccChoice] = if smoke {
         &[EccChoice::Ecp6]
     } else {
-        &[EccChoice::Ecp6, EccChoice::Safer32]
+        &[EccChoice::Ecp6, EccChoice::Safer32, EccChoice::Aegis17x31]
     };
     let mut out = Vec::new();
     for &kind in kinds {

@@ -80,36 +80,19 @@ pub fn extract(line: &Line512, offset: usize, len: usize) -> Vec<u8> {
 
 /// The faulty cell positions that fall inside a wrapped window.
 pub fn faults_in(faults: &FaultMap, offset: usize, len: usize) -> Vec<u16> {
-    let mut out = Vec::new();
-    faults_in_scratch(faults, offset, len, &mut out);
-    out
-}
-
-/// [`faults_in`] into a caller-owned buffer (cleared first) — the window
-/// slide search probes up to 64 windows per write, and reusing one
-/// allocation across probes keeps it off the heap.
-pub fn faults_in_scratch(faults: &FaultMap, offset: usize, len: usize, out: &mut Vec<u16>) {
-    out.clear();
-    let masked = faults.positions() & window_mask(offset, len);
-    out.extend(masked.iter_ones().map(|p| p as u16));
+    faults_in_buf(faults, offset, len, &mut [0; DATA_BITS]).to_vec()
 }
 
 /// [`faults_in`] into a fixed stack buffer, returning the filled prefix —
-/// the no-slide placement probe sits on the per-write hot path, and a line
-/// has at most [`DATA_BITS`] stuck cells.
+/// the placement probe and the slide search sit on the per-write hot path,
+/// and a line has at most [`DATA_BITS`] stuck cells.
 pub fn faults_in_buf<'a>(
     faults: &FaultMap,
     offset: usize,
     len: usize,
     buf: &'a mut [u16; DATA_BITS],
 ) -> &'a [u16] {
-    let masked = faults.positions() & window_mask(offset, len);
-    let mut n = 0;
-    for p in masked.iter_ones() {
-        buf[n] = p as u16;
-        n += 1;
-    }
-    &buf[..n]
+    (faults.positions() & window_mask(offset, len)).ones_into(buf)
 }
 
 /// The sub-map of faults inside a wrapped window.
@@ -178,11 +161,10 @@ pub fn find_offset_with_step(
         return Some(preferred);
     }
     let slots = DATA_BYTES / step;
-    let mut scratch = Vec::with_capacity(faults.count() as usize);
+    let mut buf = [0u16; DATA_BITS];
     for slide in 0..slots {
         let offset = (preferred + slide * step) % DATA_BYTES;
-        faults_in_scratch(faults, offset, len, &mut scratch);
-        if scheme.can_store(&scratch) {
+        if scheme.can_store(faults_in_buf(faults, offset, len, &mut buf)) {
             return Some(offset);
         }
     }

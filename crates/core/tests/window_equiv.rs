@@ -8,7 +8,7 @@
 
 use pcm_core::window;
 use pcm_util::fault::StuckAt;
-use pcm_util::{FaultMap, FaultPlan, Line512, DATA_BYTES};
+use pcm_util::{FaultMap, FaultPlan, Line512, DATA_BITS, DATA_BYTES};
 use proptest::prelude::*;
 
 fn arb_line() -> impl Strategy<Value = Line512> {
@@ -81,9 +81,9 @@ proptest! {
         let expected: Vec<u16> = in_window.iter().map(|f| f.pos).collect();
         prop_assert_eq!(&positions, &expected, "faults_in must list positions in bit order");
 
-        let mut scratch = Vec::new();
-        window::faults_in_scratch(&faults, offset, len, &mut scratch);
-        prop_assert_eq!(&scratch, &expected);
+        let mut buf = [0u16; DATA_BITS];
+        let buffered = window::faults_in_buf(&faults, offset, len, &mut buf);
+        prop_assert_eq!(buffered, &expected[..]);
 
         let map = window::fault_map_in(&faults, offset, len);
         prop_assert_eq!(map.count() as usize, in_window.len());

@@ -13,11 +13,29 @@
 //!
 //! Like SAFER, each group carries an inversion bit that makes its (single)
 //! stuck cell agree with the data.
+//!
+//! The partition search tests every partition in one pass over the faults.
+//! Each cell has a table row of 32 lane words, one per partition: lane
+//! `k ≤ t` is `1 << g` for the cell's group `g` under partition `k`, and
+//! the lanes past `t` are padding, always 0. Each fault ORs its row into
+//! per-lane occupancy words, after first collecting the bits already set
+//! there as collisions; the loop over a row has a fixed width and no
+//! branch, so the compiler vectorizes it for the baseline target. The
+//! search returns the *lowest* partition without a collision:
+//! [`Aegis::write`] stores that id in [`AegisCode`], so the choice shows in
+//! stored bits, cell flips and wear, and it must stay the partition a
+//! first-match scan over `0..=t` picks. Padding lanes never collide, so the
+//! search is cut at `t`.
 
 use crate::scheme::{EccError, HardErrorScheme};
 use pcm_util::fault::FaultMap;
 use pcm_util::{Line512, DATA_BITS};
 use serde::{Deserialize, Serialize};
+
+/// Lane words per cell row: one per partition, padded to a fixed width.
+/// One `u32` occupancy word per lane caps the group count at 32 and the
+/// partition count at `LANES`, so grids need `u ≤ 31`.
+const LANES: usize = 32;
 
 /// The Aegis scheme over a `t × u` grid (`u` prime, `t * u >= 512`).
 ///
@@ -36,6 +54,9 @@ pub struct Aegis {
     u: u32,
     /// Per partition, per group: mask of line positions in that group.
     group_masks: Vec<Vec<Line512>>,
+    /// Per cell position: lane `k` is `1 << group` of the cell under
+    /// partition `k` for `k ≤ t`, 0 in the padding lanes (64 KiB).
+    lanes: Vec<[u32; LANES]>,
 }
 
 /// The per-line Aegis state: the chosen partition and per-group inversions.
@@ -67,29 +88,49 @@ impl Aegis {
     ///
     /// # Panics
     ///
-    /// Panics unless `u` is prime, `t <= u`, and the grid covers 512 cells.
+    /// Panics unless `u` is a prime of at most 31, `t <= u`, and the grid
+    /// covers 512 cells. The bound on `u` keeps every group in one bit of a
+    /// `u32` occupancy word and the `t + 1` partitions within 32 lanes;
+    /// the grids it admits include 17×31, 23×23 and 31×31.
     pub fn new(t: u32, u: u32) -> Self {
         assert!(is_prime(u), "u must be prime, got {u}");
+        assert!(u < LANES as u32, "u must be at most {}, got {u}", LANES - 1);
         assert!(t >= 2 && t <= u, "need 2 <= t <= u, got t={t} u={u}");
         assert!(
             t * u >= DATA_BITS as u32,
             "grid {t}x{u} too small for 512 cells"
         );
-        let mut aegis = Aegis {
+        let slopes = t as usize;
+        let mut group_masks = vec![vec![Line512::zero(); u as usize]; slopes + 1];
+        let mut lanes = vec![[0u32; LANES]; DATA_BITS];
+        // One pass over the grid in position order (`pos = y·u + x`), with
+        // no division: slope k's group `(x + k·y) mod u` steps by `y < u`
+        // from one slope to the next.
+        let (mut x, mut y) = (0u32, 0u32);
+        for (pos, row) in lanes.iter_mut().enumerate() {
+            let mut g = x;
+            for (k, lane) in row[..slopes].iter_mut().enumerate() {
+                *lane = 1 << g;
+                group_masks[k][g as usize].set_bit(pos, true);
+                g += y;
+                if g >= u {
+                    g -= u;
+                }
+            }
+            row[slopes] = 1 << y;
+            group_masks[slopes][y as usize].set_bit(pos, true);
+            x += 1;
+            if x == u {
+                x = 0;
+                y += 1;
+            }
+        }
+        Aegis {
             t,
             u,
-            group_masks: Vec::new(),
-        };
-        aegis.group_masks = (0..=t)
-            .map(|k| {
-                let mut per_group = vec![Line512::zero(); u as usize];
-                for pos in 0..DATA_BITS {
-                    per_group[aegis.group(pos as u16, k)].set_bit(pos, true);
-                }
-                per_group
-            })
-            .collect();
-        aegis
+            group_masks,
+            lanes,
+        }
     }
 
     /// The 17×31 configuration evaluated in the paper.
@@ -97,47 +138,27 @@ impl Aegis {
         Aegis::new(17, 31)
     }
 
-    /// Grid coordinates of a cell position.
-    fn coords(&self, pos: u16) -> (u32, u32) {
-        let p = pos as u32;
-        (p % self.u, p / self.u)
-    }
-
-    /// Group index of `pos` under partition `k` (`k == t` is horizontal).
-    fn group(&self, pos: u16, k: u32) -> usize {
-        let (x, y) = self.coords(pos);
-        if k < self.t {
-            ((x + k * y) % self.u) as usize
-        } else {
-            y as usize
-        }
-    }
-
     /// Number of partitions (`t` slopes + horizontal).
     pub fn partitions(&self) -> u32 {
         self.t + 1
     }
 
-    /// Finds a partition that puts every fault in its own group.
+    /// Finds the lowest partition that puts every fault in its own group.
     pub fn find_partition(&self, fault_positions: &[u16]) -> Option<u32> {
         if fault_positions.len() as u32 > self.u {
             return None;
         }
-        // Pairwise collision probe: fault counts stay small over a line's
-        // storable life, so O(f²) group comparisons beat allocating a
-        // per-group "seen" table on the per-write hot path.
-        'part: for k in 0..=self.t {
-            for (i, &pos) in fault_positions.iter().enumerate() {
-                let g = self.group(pos, k);
-                for &prior in &fault_positions[..i] {
-                    if self.group(prior, k) == g {
-                        continue 'part;
-                    }
-                }
+        let mut seen = [0u32; LANES];
+        let mut clash = [0u32; LANES];
+        for &pos in fault_positions {
+            let row = &self.lanes[pos as usize];
+            for k in 0..LANES {
+                clash[k] |= seen[k] & row[k];
+                seen[k] |= row[k];
             }
-            return Some(k);
         }
-        None
+        // Padding lanes never collide, so the scan must stop at t.
+        (0..=self.t).find(|&k| clash[k as usize] == 0)
     }
 
     /// Stores `data` into a line with the given faults; see
@@ -154,9 +175,9 @@ impl Aegis {
         data: &Line512,
         faults: &FaultMap,
     ) -> Result<(Line512, AegisCode), EccError> {
-        let positions: Vec<u16> = faults.iter().map(|f| f.pos).collect();
+        let mut buf = [0u16; DATA_BITS];
         let chosen = self
-            .find_partition(&positions)
+            .find_partition(faults.positions().ones_into(&mut buf))
             .or_else(|| (0..=self.t).find(|&k| self.inversions_for(k, data, faults).is_some()));
         let Some(k) = chosen else {
             return Err(EccError::TooManyFaults {
@@ -195,17 +216,17 @@ impl Aegis {
     fn inversions_for(&self, k: u32, data: &Line512, faults: &FaultMap) -> Option<Vec<bool>> {
         // pcm-audit: allow(hotpath-alloc) — the inversion vector is the stored per-line code word, not scratch; it escapes into AegisCode
         let mut inversions = vec![false; self.u as usize];
-        // Dense "group already constrained" bitmap: group indices are
-        // bounded by the 512 cell positions, so 8 words always suffice.
-        let mut fixed = [0u64; 8];
+        // Groups already constrained, one bit per group (groups < u ≤ 31).
+        let mut fixed = 0u32;
         for f in faults.iter() {
-            let g = self.group(f.pos, k);
+            let bit = self.lanes[f.pos as usize][k as usize];
+            let g = bit.trailing_zeros() as usize;
             let needed = data.bit(f.pos as usize) != f.value;
-            if fixed[g / 64] >> (g % 64) & 1 == 1 && inversions[g] != needed {
+            if fixed & bit != 0 && inversions[g] != needed {
                 return None;
             }
             inversions[g] = needed;
-            fixed[g / 64] |= 1 << (g % 64);
+            fixed |= bit;
         }
         Some(inversions)
     }
@@ -235,7 +256,8 @@ impl HardErrorScheme for Aegis {
     }
 
     fn metadata_bits(&self) -> u32 {
-        let selector = 32 - self.partitions().leading_zeros();
+        // ⌈log2(t+1)⌉ bits name one of the t+1 partitions.
+        let selector = 32 - (self.partitions() - 1).leading_zeros();
         self.u + selector
     }
 
@@ -257,6 +279,32 @@ mod tests {
     use pcm_util::seeded_rng;
     use rand::seq::SliceRandom;
 
+    /// The grid definition of a cell's group: `(x + k·y) mod u` for slope
+    /// `k < t`, the row `y` for the horizontal partition `k == t`.
+    fn grid_group(aegis: &Aegis, pos: u16, k: u32) -> u32 {
+        let (x, y) = (pos as u32 % aegis.u, pos as u32 / aegis.u);
+        if k < aegis.t {
+            (x + k * y) % aegis.u
+        } else {
+            y
+        }
+    }
+
+    #[test]
+    fn lane_table_matches_grid_definition() {
+        for (t, u) in [(17, 31), (23, 23), (31, 31)] {
+            let aegis = Aegis::new(t, u);
+            for pos in 0..DATA_BITS as u16 {
+                let row = &aegis.lanes[pos as usize];
+                for k in 0..=t {
+                    let g = grid_group(&aegis, pos, k);
+                    assert_eq!(row[k as usize], 1 << g, "{t}x{u} pos {pos} k {k}");
+                }
+                assert!(row[t as usize + 1..].iter().all(|&lane| lane == 0));
+            }
+        }
+    }
+
     #[test]
     fn pairwise_collision_at_most_one_slope() {
         let aegis = Aegis::aegis_17x31();
@@ -266,7 +314,7 @@ mod tests {
             all.shuffle(&mut rng);
             let (p, q) = (all[0], all[1]);
             let collisions = (0..aegis.t)
-                .filter(|&k| aegis.group(p, k) == aegis.group(q, k))
+                .filter(|&k| grid_group(&aegis, p, k) == grid_group(&aegis, q, k))
                 .count();
             assert!(
                 collisions <= 1,
@@ -356,6 +404,9 @@ mod tests {
         let aegis = Aegis::aegis_17x31();
         assert_eq!(aegis.metadata_bits(), 31 + 5);
         assert!(aegis.metadata_bits() <= 64);
+        // 32 partitions (ids 0..=31) need 5 selector bits, not 6.
+        assert_eq!(Aegis::new(31, 31).metadata_bits(), 31 + 5);
+        assert_eq!(Aegis::new(23, 23).metadata_bits(), 23 + 5);
     }
 
     #[test]
@@ -379,5 +430,11 @@ mod tests {
     #[should_panic(expected = "too small")]
     fn rejects_small_grid() {
         Aegis::new(3, 5);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 31")]
+    fn rejects_u_past_one_occupancy_word() {
+        Aegis::new(17, 37);
     }
 }

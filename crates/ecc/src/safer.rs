@@ -200,11 +200,11 @@ impl Safer {
         data: &Line512,
         faults: &FaultMap,
     ) -> Result<(Line512, SaferCode), EccError> {
-        let positions: Vec<u16> = faults.iter().map(|f| f.pos).collect();
+        let mut buf = [0u16; DATA_BITS];
         // Prefer a deterministic partition; otherwise try data-dependent
         // agreement.
         let chosen = self
-            .find_partition(&positions)
+            .find_partition(faults.positions().ones_into(&mut buf))
             .or_else(|| self.find_agreeing_partition(data, faults));
         let Some(mask) = chosen else {
             return Err(EccError::TooManyFaults {

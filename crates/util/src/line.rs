@@ -211,6 +211,30 @@ impl Line512 {
         }
     }
 
+    /// The set-bit positions in ascending order, written into a stack
+    /// buffer (a line has at most [`DATA_BITS`] set bits); returns the
+    /// filled prefix. Per-write callers list fault positions this way
+    /// instead of collecting a `Vec`.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use pcm_util::{Line512, DATA_BITS};
+    /// let mut l = Line512::zero();
+    /// l.set_bit(5, true);
+    /// l.set_bit(300, true);
+    /// let mut buf = [0u16; DATA_BITS];
+    /// assert_eq!(l.ones_into(&mut buf), &[5, 300]);
+    /// ```
+    pub fn ones_into<'a>(&self, buf: &'a mut [u16; DATA_BITS]) -> &'a [u16] {
+        let mut n = 0;
+        for p in self.iter_ones() {
+            buf[n] = p as u16;
+            n += 1;
+        }
+        &buf[..n]
+    }
+
     /// Counts set bits whose position lies in `range` (a bit range).
     ///
     /// # Panics
