@@ -104,41 +104,47 @@ pub fn failure_probability(
     errors: usize,
     mc: &MonteCarlo,
 ) -> f64 {
-    failure_probability_on(&Pool::new(mc.threads), scheme, window_bytes, errors, mc)
+    point_probabilities(scheme, &[(window_bytes, errors)], mc)[0]
 }
 
-/// [`failure_probability`] on a caller-provided pool; sweeps such as
-/// [`failure_surface`] reuse one pool across every `(window, errors)` point
-/// so the parallelism is resolved exactly once.
-pub(crate) fn failure_probability_on(
-    pool: &Pool,
+/// Injections per batch, the unit of work a pool worker claims.
+const BATCH: usize = 1_024;
+
+/// Failure probabilities of every `(window_bytes, errors)` point, in order.
+///
+/// All points' batches go to one pool as a single job list, so the workers
+/// start once per call and never wait for each other between points: a
+/// worker that finishes a batch claims the next one, whichever point it
+/// belongs to. A batch is seeded by its index within the point, not by
+/// worker id or claim order, so every estimate is bit-identical for any
+/// thread count (each injection sees the same RNG stream no matter which
+/// worker claims its batch, and u64 summation commutes). The shuffle
+/// scratch and the sampled-position buffer are per-worker scratch, reused
+/// across every batch a worker claims.
+fn point_probabilities(
     scheme: &dyn HardErrorScheme,
-    window_bytes: usize,
-    errors: usize,
+    points: &[(usize, usize)],
     mc: &MonteCarlo,
-) -> f64 {
-    assert!(
-        (1..=DATA_BYTES).contains(&window_bytes),
-        "window must be 1..=64 bytes, got {window_bytes}"
-    );
-    assert!(errors <= DATA_BITS, "at most 512 faults fit a line");
+) -> Vec<f64> {
+    for &(window_bytes, errors) in points {
+        assert!(
+            (1..=DATA_BYTES).contains(&window_bytes),
+            "window must be 1..=64 bytes, got {window_bytes}"
+        );
+        assert!(errors <= DATA_BITS, "at most 512 faults fit a line");
+    }
     assert!(mc.injections > 0, "need at least one injection");
 
-    // Work is split into fixed-size batches of injections seeded by batch
-    // index, not by worker id, so the estimate is bit-identical for every
-    // thread count (each injection sees the same RNG stream no matter which
-    // worker claims its batch, and u64 summation commutes). The shuffle
-    // scratch and the sampled-position buffer live in per-worker scratch,
-    // reused across every batch a worker claims.
-    const BATCH: usize = 1_024;
     let batches = mc.injections.div_ceil(BATCH);
     let guaranteed = scheme.guaranteed();
-
-    let per_batch: Vec<u64> = pool.map_indexed_with(
-        batches,
+    let most_errors = points.iter().map(|&(_, e)| e).max().unwrap_or(0);
+    let per_batch: Vec<u64> = Pool::new(mc.threads).map_indexed_with(
+        points.len() * batches,
         1,
-        || ([0u16; DATA_BITS], Vec::with_capacity(errors)),
-        |(scratch, positions), c| {
+        || ([0u16; DATA_BITS], Vec::with_capacity(most_errors)),
+        |(scratch, positions), j| {
+            let (window_bytes, errors) = points[j / batches];
+            let c = j % batches;
             let lo = c * BATCH;
             let hi = (lo + BATCH).min(mc.injections);
             let mut rng = seeded_rng(child_seed(mc.seed, c as u64));
@@ -152,8 +158,10 @@ pub(crate) fn failure_probability_on(
             fail
         },
     );
-
-    per_batch.into_iter().sum::<u64>() as f64 / mc.injections as f64
+    per_batch
+        .chunks(batches)
+        .map(|point| point.iter().sum::<u64>() as f64 / mc.injections as f64)
+        .collect()
 }
 
 /// A full Fig. 9 sweep for one scheme: failure probability for every
@@ -171,21 +179,24 @@ pub struct FailureSurface {
 }
 
 /// Sweeps failure probability over windows × error counts (Fig. 9 panel).
+///
+/// # Panics
+///
+/// As [`failure_probability`], for any window or error count.
 pub fn failure_surface(
     scheme: &dyn HardErrorScheme,
     windows: &[usize],
     errors: &[usize],
     mc: &MonteCarlo,
 ) -> FailureSurface {
-    let pool = Pool::new(mc.threads);
-    let probabilities = windows
+    let points: Vec<(usize, usize)> = windows
         .iter()
-        .map(|&w| {
-            errors
-                .iter()
-                .map(|&e| failure_probability_on(&pool, scheme, w, e, mc))
-                .collect()
-        })
+        .flat_map(|&w| errors.iter().map(move |&e| (w, e)))
+        .collect();
+    let flat = point_probabilities(scheme, &points, mc);
+    let row = errors.len();
+    let probabilities = (0..windows.len())
+        .map(|w| flat[w * row..(w + 1) * row].to_vec())
         .collect();
     FailureSurface {
         scheme: scheme.name().to_string(),
@@ -296,6 +307,42 @@ mod tests {
         assert_eq!(surf.probabilities.len(), 2);
         assert_eq!(surf.probabilities[0].len(), 3);
         assert_eq!(surf.scheme, "ECP-6");
+    }
+
+    #[test]
+    fn surface_matches_serial_per_point_reference() {
+        // One job list over the whole surface must give every point the
+        // estimate a serial loop over that point's own batches gives;
+        // 2 100 injections leave a short last batch.
+        let aegis = Aegis::new(17, 31);
+        let mc = MonteCarlo {
+            injections: 2_100,
+            seed: 31,
+            threads: 2,
+        };
+        let (windows, errors) = ([8usize, 32, 64], [0usize, 6, 20, 44]);
+        let surf = failure_surface(&aegis, &windows, &errors, &mc);
+        let guaranteed = aegis.guaranteed();
+        let mut scratch = [0u16; DATA_BITS];
+        let mut positions = Vec::new();
+        for (w, &window) in windows.iter().enumerate() {
+            for (e, &k) in errors.iter().enumerate() {
+                let mut fail = 0u64;
+                for c in 0..mc.injections.div_ceil(BATCH) {
+                    let mut rng = seeded_rng(child_seed(mc.seed, c as u64));
+                    for _ in c * BATCH..((c + 1) * BATCH).min(mc.injections) {
+                        sample_positions(&mut rng, k, &mut scratch, &mut positions);
+                        fail += u64::from(no_window_fits(&aegis, &positions, window, guaranteed));
+                    }
+                }
+                let want = fail as f64 / mc.injections as f64;
+                assert_eq!(
+                    surf.probabilities[w][e].to_bits(),
+                    want.to_bits(),
+                    "window {window} errors {k}"
+                );
+            }
+        }
     }
 
     #[test]
