@@ -19,7 +19,7 @@ use pcm_ecc::safer::SaferCode;
 use pcm_ecc::secded::SecdedCode;
 use pcm_ecc::{Aegis, Coset, Ecp, HardErrorScheme, Safer, Secded};
 use pcm_util::fault::FaultMap;
-use pcm_util::{Line512, DATA_BYTES};
+use pcm_util::{Line512, DATA_BITS, DATA_BYTES};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -203,6 +203,57 @@ pub struct ManagedLine {
     dead: bool,
     valid: bool,
     meta_updates: MetaUpdateCounts,
+    placements: PlacementMemo,
+}
+
+/// The window probes already answered for the line's current fault set
+/// (DESIGN.md §13 "Placement memo"): bit `offset` of word `len - 1`
+/// records whether the `len`-byte window at byte `offset` was probed and
+/// whether it fits.
+///
+/// `can_store` is a pure function of the window's fault positions, and a
+/// line's faults only accumulate, so (scheme, fault count) names the
+/// answers exactly; the bitmaps are cleared whenever that key changes.
+/// An empty memo is valid under any key.
+#[derive(Debug, Clone)]
+struct PlacementMemo {
+    key: (EccChoice, u32),
+    probed: [u64; DATA_BYTES],
+    fits: [u64; DATA_BYTES],
+}
+
+impl PlacementMemo {
+    const EMPTY: PlacementMemo = PlacementMemo {
+        key: (EccChoice::Ecp6, 0),
+        probed: [0; DATA_BYTES],
+        fits: [0; DATA_BYTES],
+    };
+
+    /// The memo for `choice` over a set of `faults` faulty cells, emptied
+    /// first if it held another key.
+    fn keyed(&mut self, choice: EccChoice, faults: u32) -> &mut Self {
+        if self.key != (choice, faults) {
+            *self = PlacementMemo {
+                key: (choice, faults),
+                ..PlacementMemo::EMPTY
+            };
+        }
+        self
+    }
+
+    /// Whether the `len`-byte window at `offset` fits: `probe` answers on
+    /// the window's first probe under the current key, the bitmaps after
+    /// that.
+    fn fits(&mut self, len: usize, offset: usize, probe: impl FnOnce() -> bool) -> bool {
+        let (word, bit) = (len - 1, 1u64 << offset);
+        if self.probed[word] & bit == 0 {
+            self.probed[word] |= bit;
+            if probe() {
+                self.fits[word] |= bit;
+            }
+        }
+        self.fits[word] & bit != 0
+    }
 }
 
 impl ManagedLine {
@@ -226,6 +277,7 @@ impl ManagedLine {
             dead: false,
             valid: false,
             meta_updates: MetaUpdateCounts::default(),
+            placements: PlacementMemo::EMPTY,
         }
     }
 
@@ -244,6 +296,7 @@ impl ManagedLine {
             dead: false,
             valid: false,
             meta_updates: MetaUpdateCounts::default(),
+            placements: PlacementMemo::EMPTY,
         }
     }
 
@@ -260,10 +313,12 @@ impl ManagedLine {
             dead: false,
             valid: false,
             meta_updates: MetaUpdateCounts::default(),
+            placements: PlacementMemo::EMPTY,
         }
     }
 
-    /// The line's stuck-at faults.
+    /// The line's stuck-at faults. Faults only accumulate: no write,
+    /// wear grant or revival ever removes one.
     pub fn faults(&self) -> &FaultMap {
         self.wear.faults()
     }
@@ -317,8 +372,12 @@ impl ManagedLine {
 
     /// Checks whether a payload of `len` bytes could be stored (used for
     /// dead-block resurrection): returns the offset that would be used.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `len` is `1..=64` and `preferred < 64`.
     pub fn can_host(
-        &self,
+        &mut self,
         engine: &EccEngine,
         len: usize,
         preferred: usize,
@@ -328,23 +387,31 @@ impl ManagedLine {
     }
 
     /// [`can_host`](Self::can_host) at a coarser window-placement
-    /// granularity (see [`window::find_offset_with_step`]).
+    /// granularity (see [`window::find_offset_with_step`]). Each window
+    /// probe is answered from the line's placement memo when this fault
+    /// set has met it before.
+    ///
+    /// # Panics
+    ///
+    /// As [`can_host`](Self::can_host), plus if `step` is not a power of
+    /// two dividing 64.
     pub(crate) fn can_host_with_step(
-        &self,
+        &mut self,
         engine: &EccEngine,
         len: usize,
         preferred: usize,
         slide: bool,
         step: usize,
     ) -> Option<usize> {
-        if slide {
-            window::find_offset_with_step(engine.scheme(), self.faults(), len, preferred, step)
-        } else {
-            let preferred = preferred / step * step;
-            let mut buf = [0u16; pcm_util::DATA_BITS];
-            let faults = window::faults_in_buf(self.faults(), preferred, len, &mut buf);
-            engine.scheme().can_store(faults).then_some(preferred)
-        }
+        let faults = self.wear.faults();
+        let memo = self.placements.keyed(engine.choice, faults.count());
+        window::first_fit(len, preferred, slide, step, |offset| {
+            memo.fits(len, offset, || {
+                let mut buf = [0u16; DATA_BITS];
+                let window_faults = window::faults_in_buf(faults, offset, len, &mut buf);
+                engine.scheme().can_store(window_faults)
+            })
+        })
     }
 
     /// Clears the dead flag after a successful resurrection check; the
@@ -399,12 +466,6 @@ impl ManagedLine {
         step: usize,
     ) -> Result<LineWriteReport, LineDead> {
         let len = payload.bytes.len();
-        assert!(
-            (1..=DATA_BYTES).contains(&len),
-            "payload must be 1..=64 bytes"
-        );
-        assert!(preferred < DATA_BYTES, "preferred offset must be < 64");
-
         let mut report = LineWriteReport {
             offset: preferred,
             flips: 0,
@@ -417,7 +478,7 @@ impl ManagedLine {
         // one newly-stuck cell, so 512 iterations bound the loop.
         loop {
             report.attempts += 1;
-            let offset = match self.locate(engine, len, preferred, slide, step) {
+            let offset = match self.can_host_with_step(engine, len, preferred, slide, step) {
                 Some(o) => o,
                 None => {
                     self.dead = true;
@@ -487,17 +548,6 @@ impl ManagedLine {
             window::extract(&corrected, self.offset, self.size),
         ))
     }
-
-    fn locate(
-        &self,
-        engine: &EccEngine,
-        len: usize,
-        preferred: usize,
-        slide: bool,
-        step: usize,
-    ) -> Option<usize> {
-        self.can_host_with_step(engine, len, preferred, slide, step)
-    }
 }
 
 #[cfg(test)]
@@ -505,6 +555,7 @@ mod tests {
     use super::*;
     use pcm_compress::{compress_best, decompress, CompressedWrite};
     use pcm_util::seeded_rng;
+    use rand::RngExt;
 
     fn engine() -> EccEngine {
         EccEngine::new(EccChoice::Ecp6)
@@ -661,6 +712,120 @@ mod tests {
         let tiny = compress_best(&Line512::zero());
         line.write(&e, payload_of(&tiny), offset, true).unwrap();
         assert!(line.is_valid());
+    }
+
+    /// Checks every placement answer of `line` against a fresh search over
+    /// its current faults, through each of `engines` in turn.
+    fn assert_placements_match_search(line: &mut ManagedLine, engines: &[EccEngine]) {
+        let faults = *line.faults();
+        let mut buf = [0u16; DATA_BITS];
+        for e in engines {
+            for step in [1, 2, 8] {
+                for len in 1..=DATA_BYTES {
+                    for preferred in [0, 13, 42, 63] {
+                        let at = (e.choice, faults.count(), step, len, preferred);
+                        let slid = window::find_offset_with_step(
+                            e.scheme(),
+                            &faults,
+                            len,
+                            preferred,
+                            step,
+                        );
+                        assert_eq!(
+                            line.can_host_with_step(e, len, preferred, true, step),
+                            slid,
+                            "slide {at:?}"
+                        );
+                        let grid = preferred / step * step;
+                        let window = window::faults_in_buf(&faults, grid, len, &mut buf);
+                        let fixed = e.scheme().can_store(window).then_some(grid);
+                        assert_eq!(
+                            line.can_host_with_step(e, len, preferred, false, step),
+                            fixed,
+                            "fixed {at:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn placement_memo_matches_fresh_search_as_faults_grow() {
+        let mut rng = seeded_rng(115);
+        // A quarter of the cells die within their first six programmings.
+        let endurance = (0..DATA_BITS)
+            .map(|_| {
+                if rng.random_range(0..4u32) == 0 {
+                    rng.random_range(0..6u32)
+                } else {
+                    u32::MAX
+                }
+            })
+            .collect();
+        let mut line = ManagedLine::with_endurance(endurance);
+        // Each check starts and ends on the writing engine's scheme: a memo
+        // that a write's new faults failed to clear would then answer the
+        // next check from the old fault set. The scheme changes in between
+        // catch a memo that ignores which scheme filled it.
+        let write_choice = EccChoice::Aegis17x31;
+        let engines: Vec<EccEngine> = [write_choice]
+            .into_iter()
+            .chain(EccChoice::ALL)
+            .chain([EccChoice::EcpN(8), write_choice])
+            .map(EccEngine::new)
+            .collect();
+        let writer = EccEngine::new(write_choice);
+        let mut grown = 0;
+        for w in 0..16 {
+            assert_placements_match_search(&mut line, &engines);
+            let before = line.faults().count();
+            let bytes: Vec<u8> = (0..4 + (w * 5) % 24).map(|_| rng.random()).collect();
+            let payload = Payload {
+                method: Method::Uncompressed,
+                bytes: &bytes,
+            };
+            let _ = line.write(&writer, payload, (w * 11) % DATA_BYTES, true);
+            grown += (line.faults().count() > before) as u32;
+        }
+        assert_placements_match_search(&mut line, &engines);
+        assert!(grown >= 8, "only {grown} writes added faults");
+    }
+
+    #[test]
+    #[should_panic(expected = "window must be 1..=64 bytes")]
+    fn fixed_placement_rejects_empty_payload() {
+        ManagedLine::with_endurance(vec![u32::MAX; 512]).can_host(&engine(), 0, 5, false);
+    }
+
+    #[test]
+    #[should_panic(expected = "preferred offset must be < 64")]
+    fn fixed_placement_rejects_offset_past_line() {
+        ManagedLine::with_endurance(vec![u32::MAX; 512]).can_host(&engine(), 8, 64, false);
+    }
+
+    #[test]
+    #[should_panic(expected = "power of two")]
+    fn fixed_placement_rejects_off_grid_step() {
+        ManagedLine::with_endurance(vec![u32::MAX; 512]).can_host_with_step(
+            &engine(),
+            8,
+            0,
+            false,
+            3,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "power of two")]
+    fn fixed_placement_rejects_zero_step() {
+        ManagedLine::with_endurance(vec![u32::MAX; 512]).can_host_with_step(
+            &engine(),
+            8,
+            0,
+            false,
+            0,
+        );
     }
 
     #[test]

@@ -147,28 +147,43 @@ pub fn find_offset_with_step(
     preferred: usize,
     step: usize,
 ) -> Option<usize> {
-    assert!(preferred < DATA_BYTES, "preferred offset must be < 64");
+    let mut buf = [0u16; DATA_BITS];
+    first_fit(len, preferred, true, step, |offset| {
+        scheme.can_store(faults_in_buf(faults, offset, len, &mut buf))
+    })
+}
+
+/// The placement order every window search shares: the first offset at
+/// which `fits` holds, trying `preferred` (rounded down to the `step`
+/// grid) first and, when `slide` is set, then every other grid offset in
+/// wrapping byte order — the §III-A slide. `fits(offset)` answers whether
+/// the `len`-byte window at `offset` can be stored.
+///
+/// # Panics
+///
+/// Panics unless `len` is `1..=64`, `preferred < 64`, and `step` is a
+/// power of two dividing 64.
+pub(crate) fn first_fit(
+    len: usize,
+    preferred: usize,
+    slide: bool,
+    step: usize,
+    mut fits: impl FnMut(usize) -> bool,
+) -> Option<usize> {
     assert!(
         (1..=DATA_BYTES).contains(&len),
         "window must be 1..=64 bytes"
     );
+    assert!(preferred < DATA_BYTES, "preferred offset must be < 64");
     assert!(
-        step.is_power_of_two() && DATA_BYTES % step == 0,
+        step.is_power_of_two() && DATA_BYTES.is_multiple_of(step),
         "step must be a power of two dividing 64, got {step}"
     );
     let preferred = preferred / step * step;
-    if faults.is_empty() {
-        return Some(preferred);
-    }
-    let slots = DATA_BYTES / step;
-    let mut buf = [0u16; DATA_BITS];
-    for slide in 0..slots {
-        let offset = (preferred + slide * step) % DATA_BYTES;
-        if scheme.can_store(faults_in_buf(faults, offset, len, &mut buf)) {
-            return Some(offset);
-        }
-    }
-    None
+    let slots = if slide { DATA_BYTES / step } else { 1 };
+    (0..slots)
+        .map(|slot| (preferred + slot * step) % DATA_BYTES)
+        .find(|&offset| fits(offset))
 }
 
 #[cfg(test)]

@@ -268,7 +268,9 @@ impl LineWear {
         self.stored
     }
 
-    /// The stuck-at faults accumulated so far.
+    /// The stuck-at faults accumulated so far. Faults only accumulate:
+    /// nothing removes a position once it is stuck, so the fault count
+    /// names the set.
     pub fn faults(&self) -> &FaultMap {
         &self.faults
     }

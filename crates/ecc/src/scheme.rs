@@ -56,6 +56,12 @@ pub trait HardErrorScheme: Send + Sync {
     /// Positions keep their *physical* indices even when the written region
     /// is a small compression window — partition-based schemes partition
     /// physical positions.
+    ///
+    /// The answer is a pure function of the position set: it depends on
+    /// nothing but `fault_positions` (ascending and distinct when the
+    /// controller asks), not on the data, the stuck values or any earlier
+    /// call. A line's placement memo relies on this to answer a window it
+    /// has already probed without asking again.
     fn can_store(&self, fault_positions: &[u16]) -> bool;
 
     /// Payload-transform tag bits this scheme stores per line, *on top of*
