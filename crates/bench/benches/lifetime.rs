@@ -25,6 +25,7 @@ fn bench_managed_line_write(c: &mut Criterion) {
                 },
                 black_box(0),
                 true,
+                1,
             )
             .expect("healthy line")
         })

@@ -36,7 +36,7 @@ fn bench_window_ops(c: &mut Criterion) {
         .collect();
     let ecp = Ecp::new(6);
     c.bench_function("window/find_offset_24faults", |b| {
-        b.iter(|| window::find_offset(&ecp, black_box(&faults), 24, 17))
+        b.iter(|| window::find_offset(&ecp, black_box(&faults), 24, 17, 1))
     });
     let payload = [0xABu8; 24];
     let base = pcm_util::Line512::ones();

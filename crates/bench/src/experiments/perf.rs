@@ -137,6 +137,7 @@ impl Experiment for MetadataRates {
                     },
                     leveler.offset(),
                     true,
+                    cfg.window_step,
                 )
                 .expect("healthy line");
                 leveler.note_write();

@@ -7,15 +7,16 @@
 //! result. Everything the paper's architecture does per bank lives here:
 //! inter-line wear-leveling through the pluggable
 //! [`WearScheme`](pcm_wear::WearScheme) trait (migration writes are real
-//! writes), the intra-line rotation counter, the compression pipeline with
-//! the Fig. 8 heuristic, ECC encode/decode, and dead-block resurrection at
-//! relocation events.
+//! writes), the intra-line rotation counter, and the controller's storage
+//! step (`payload::store`): compression with the Fig. 8 heuristic, window
+//! placement, ECC encode, and dead-block resurrection on any write to a
+//! dead line, demand or migration.
 
 use crate::controller::{MemoryStats, WriteError, WriteReport};
-use crate::line::{EccEngine, LineWriteReport, ManagedLine, Payload};
-use crate::payload::{choose_payload, HostMeta, PayloadBufs};
+use crate::line::{EccEngine, LineWriteReport, ManagedLine};
+use crate::payload::{revivable, store, HostMeta, PayloadBufs};
 use crate::system::SystemConfig;
-use pcm_compress::{decompress, CompressedWrite, Method};
+use pcm_compress::{decompress, CompressedWrite};
 use pcm_util::{seeded_rng, Line512};
 use pcm_wear::{IntraLineLeveler, WearEvent, WearScheme};
 use rand::Rng;
@@ -172,15 +173,18 @@ impl BankCtl {
     /// # Errors
     ///
     /// Returns [`WriteError::BadAddress`] out of range,
-    /// [`WriteError::LineDead`] when the data was lost to an uncorrectable
-    /// error or a failed relocation.
+    /// [`WriteError::LineDead`] when the line was never written or its data
+    /// was lost to an uncorrectable error or a failed relocation.
     pub fn read(&self, idx: u64) -> Result<Line512, WriteError> {
         if idx >= self.lines {
             return Err(WriteError::BadAddress);
         }
         let phys = self.phys_index(idx);
         let line = &self.phys[phys];
-        if self.parked[idx as usize] || !line.is_valid() {
+        // A line with no acknowledged write holds nothing of its own: its
+        // slot may still carry the previous occupant's valid copy after a
+        // wear-leveling move.
+        if self.shadow[idx as usize].is_none() || self.parked[idx as usize] || !line.is_valid() {
             return Err(WriteError::LineDead {
                 faults: line.faults().count(),
             });
@@ -232,117 +236,55 @@ impl BankCtl {
         h
     }
 
+    /// One write of `data` for bank-relative line `idx` into physical line
+    /// `phys`, demand or migration: a dead line must pass the resurrection
+    /// check first, then the storage step runs (see `crate::payload`).
     fn write_to_phys(
         &mut self,
         phys: usize,
         idx: u64,
         data: Line512,
     ) -> Result<(LineWriteReport, bool), WriteError> {
-        let kind = self.cfg.kind;
-        // One stack-resident buffer pair per write: the storage decision
-        // never heap-allocates (see crate::payload).
-        let mut bufs = PayloadBufs::new();
-        let (mut method, new_meta, fallback) =
-            choose_payload(&self.cfg, self.meta[idx as usize], &data, &mut bufs);
-        let preferred = if kind.rotates() {
-            self.leveler.offset()
-        } else {
-            0
-        };
+        let i = idx as usize;
+        let rotation = self.leveler.offset();
         let line = &mut self.phys[phys];
-        // Revert a heuristic "store uncompressed" decision when only the
-        // compressed form still fits this line.
-        let mut payload_bytes = bufs.chosen();
-        if let Some(fb_method) = fallback {
-            if line
-                .can_host(&self.engine, bufs.chosen().len(), preferred, kind.slides())
-                .is_none()
-                && line
-                    .can_host(
-                        &self.engine,
-                        bufs.fallback().len(),
-                        preferred,
-                        kind.slides(),
-                    )
-                    .is_some()
-            {
-                payload_bytes = bufs.fallback();
-                method = fb_method;
-            }
-        }
+        // One stack-resident buffer pair per write: the storage step never
+        // heap-allocates.
+        let mut bufs = PayloadBufs::new();
         if line.is_dead() {
-            // Comp+WF checks dead lines for fit before giving up.
-            if kind.slides() {
-                if let Some(offset) =
-                    line.can_host(&self.engine, payload_bytes.len(), preferred, true)
-                {
-                    line.revive();
-                    self.stats.resurrections += 1;
-                    let r = match line.write(
-                        &self.engine,
-                        Payload {
-                            method,
-                            bytes: payload_bytes,
-                        },
-                        offset,
-                        true,
-                    ) {
-                        Ok(r) => r,
-                        Err(e) => {
-                            self.stats.deaths += 1;
-                            self.stats.death_fault_cells += e.faults as u64;
-                            return Err(WriteError::LineDead { faults: e.faults });
-                        }
-                    };
-                    self.commit(idx, data, method, payload_bytes.len(), new_meta, &r);
-                    return Ok((r, method.is_compressed()));
-                }
+            if !revivable(line, &self.engine, &self.cfg, &data, rotation, &mut bufs) {
+                return Err(WriteError::LineDead {
+                    faults: line.faults().count(),
+                });
             }
-            return Err(WriteError::LineDead {
-                faults: line.faults().count(),
-            });
+            line.revive();
+            self.stats.resurrections += 1;
         }
-        match line.write(
+        match store(
+            line,
             &self.engine,
-            Payload {
-                method,
-                bytes: payload_bytes,
-            },
-            preferred,
-            kind.slides(),
+            &self.cfg,
+            self.meta[i],
+            &data,
+            rotation,
+            &mut bufs,
         ) {
-            Ok(r) => {
-                self.commit(idx, data, method, payload_bytes.len(), new_meta, &r);
-                Ok((r, method.is_compressed()))
+            Ok(s) => {
+                let compressed = s.method.is_compressed();
+                self.shadow[i] = Some(data);
+                self.parked[i] = false;
+                self.meta[i] = s.meta;
+                self.stats.total_flips += s.report.flips as u64;
+                self.stats.new_faults += s.report.new_faults as u64;
+                self.stats.compressed_writes += compressed as u64;
+                Ok((s.report, compressed))
             }
             Err(e) => {
-                self.parked[idx as usize] = true;
+                self.parked[i] = true;
                 self.stats.deaths += 1;
                 self.stats.death_fault_cells += e.faults as u64;
                 Err(WriteError::LineDead { faults: e.faults })
             }
-        }
-    }
-
-    fn commit(
-        &mut self,
-        idx: u64,
-        data: Line512,
-        method: Method,
-        size: usize,
-        new_meta: HostMeta,
-        r: &LineWriteReport,
-    ) {
-        self.shadow[idx as usize] = Some(data);
-        self.parked[idx as usize] = false;
-        self.meta[idx as usize] = HostMeta {
-            sc: new_meta.sc,
-            last_size: size,
-        };
-        self.stats.total_flips += r.flips as u64;
-        self.stats.new_faults += r.new_faults as u64;
-        if method.is_compressed() {
-            self.stats.compressed_writes += 1;
         }
     }
 
@@ -424,6 +366,19 @@ mod tests {
         let mut bank = BankCtl::new(cfg(SystemKind::Comp), 8, 3);
         assert_eq!(bank.write(8, Line512::zero()), Err(WriteError::BadAddress));
         assert_eq!(bank.read(8).unwrap_err(), WriteError::BadAddress);
+    }
+
+    #[test]
+    fn never_written_line_reads_as_dead_after_a_gap_move() {
+        // Two Start-Gap moves (ψ = 100) leave line 3's earlier copy in
+        // the slot that never-written line 2 now maps to.
+        let mut bank = BankCtl::new(cfg(SystemKind::Comp), 4, 1);
+        for _ in 0..250 {
+            bank.write(3, Line512::ones()).unwrap();
+        }
+        assert_eq!(bank.stats().gap_moves, 2);
+        assert!(matches!(bank.read(2), Err(WriteError::LineDead { .. })));
+        assert_eq!(bank.read(3).unwrap(), Line512::ones());
     }
 
     #[test]

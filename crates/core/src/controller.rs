@@ -255,6 +255,7 @@ impl PcmMemory {
 mod tests {
     use super::*;
     use crate::system::SystemKind;
+    use pcm_trace::{BlockStream, SpecApp};
     use pcm_util::seeded_rng;
     use rand::RngExt;
 
@@ -384,6 +385,27 @@ mod tests {
             wf > base * 2,
             "CompWF ({wf} writes) should far outlast Baseline ({base} writes)"
         );
+    }
+
+    #[test]
+    fn coarse_window_step_keeps_every_write_on_the_grid() {
+        let cfg = SystemConfig::new(SystemKind::CompWF)
+            .with_endurance_mean(400.0)
+            .with_window_step(4);
+        let mut mem = PcmMemory::new(cfg, 16, 11);
+        let mut rng = seeded_rng(11);
+        let mut block = BlockStream::new(SpecApp::Milc.profile(), 11);
+        let (mut stored, mut slid, mut off_grid) = (0u32, 0u32, 0u32);
+        for _ in 0..40_000 {
+            if let Ok(r) = mem.write(rng.random_range(0..16), block.next_data()) {
+                stored += 1;
+                slid += r.line.slid as u32;
+                off_grid += (r.line.offset % 4 != 0) as u32;
+            }
+        }
+        assert_eq!(off_grid, 0, "{off_grid} of {stored} writes off the grid");
+        assert!(stored > 10_000 && slid > 0, "{stored} stored, {slid} slid");
+        assert!(mem.stats().deaths > 0, "endurance 400 must wear lines out");
     }
 
     #[test]

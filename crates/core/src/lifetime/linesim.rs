@@ -1,7 +1,7 @@
 //! The accelerated per-line lifetime simulation.
 
-use crate::line::{EccEngine, ManagedLine, Payload};
-use crate::payload::{choose_payload, HostMeta, PayloadBufs};
+use crate::line::{EccEngine, ManagedLine};
+use crate::payload::{revivable, store, HostMeta, PayloadBufs};
 use crate::system::SystemConfig;
 use pcm_trace::{BlockStream, WorkloadProfile};
 use pcm_util::{child_seed, seeded_rng, simd, DATA_BITS, DATA_BYTES};
@@ -152,20 +152,15 @@ pub fn simulate_line_with(cfg: &LineSimConfig, seed: u64, scratch: &mut LineScra
             block_counter += 1;
             meta = HostMeta::default();
             residency_left = sys.residency_writes;
-            // Resurrection check with the incoming block's payload size
-            // (compressed fallback counts: any storable form revives).
-            let (_, _, fallback) = choose_payload(sys, meta, &block.current(), &mut scratch.bufs);
-            let preferred = if sys.kind.rotates() { rotation } else { 0 };
-            let len = if fallback.is_some() {
-                scratch.bufs.fallback().len()
-            } else {
-                scratch.bufs.chosen().len()
-            }
-            .min(scratch.bufs.chosen().len());
-            if line
-                .can_host_with_step(&engine, len, preferred, true, sys.window_step)
-                .is_some()
-            {
+            // Resurrection check against the incoming block.
+            if revivable(
+                &mut line,
+                &engine,
+                sys,
+                &block.current(),
+                rotation,
+                &mut scratch.bufs,
+            ) {
                 line.revive();
                 // pcm-audit: allow(hotpath-alloc) — stays within the with_capacity reservation made at entry
                 events.push(writes);
@@ -195,54 +190,24 @@ pub fn simulate_line_with(cfg: &LineSimConfig, seed: u64, scratch: &mut LineScra
         let mut died = false;
         for _ in 0..k {
             let data = block.next_data();
-            let (mut method, new_meta, fallback) =
-                choose_payload(sys, meta, &data, &mut scratch.bufs);
-            meta = new_meta;
-            let mut bytes: &[u8] = scratch.bufs.chosen();
-            let preferred = if sys.kind.rotates() { rotation } else { 0 };
-            // If the heuristic preferred uncompressed but the full line no
-            // longer fits while the compressed form would, revert.
-            if let Some(fb_method) = fallback {
-                if line
-                    .can_host_with_step(
-                        &engine,
-                        bytes.len(),
-                        preferred,
-                        sys.kind.slides(),
-                        sys.window_step,
-                    )
-                    .is_none()
-                    && line
-                        .can_host_with_step(
-                            &engine,
-                            scratch.bufs.fallback().len(),
-                            preferred,
-                            sys.kind.slides(),
-                            sys.window_step,
-                        )
-                        .is_some()
-                {
-                    bytes = scratch.bufs.fallback();
-                    method = fb_method;
-                }
-            }
-            match line.write_with_step(
+            done += 1;
+            match store(
+                &mut line,
                 &engine,
-                Payload { method, bytes },
-                preferred,
-                sys.kind.slides(),
-                sys.window_step,
+                sys,
+                meta,
+                &data,
+                rotation,
+                &mut scratch.bufs,
             ) {
-                Ok(r) => {
-                    flip_sum += r.flips as u64;
+                Ok(s) => {
+                    flip_sum += s.report.flips as u64;
                     sampled += 1;
-                    flip_acc.accumulate(&mut counts, &r.flip_mask.words());
-                    meta.last_size = bytes.len();
-                    done += 1;
+                    flip_acc.accumulate(&mut counts, &s.report.flip_mask.words());
+                    meta = s.meta;
                 }
                 Err(_) => {
                     died = true;
-                    done += 1;
                     break;
                 }
             }

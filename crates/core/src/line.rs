@@ -159,7 +159,8 @@ pub struct LineWriteReport {
     pub new_faults: u32,
     /// Encode/program attempts (1 = clean write).
     pub attempts: u32,
-    /// `true` when the window had to slide away from the preferred offset.
+    /// `true` when the window had to slide away from the preferred offset
+    /// (rounded down to the placement grid).
     pub slid: bool,
 }
 
@@ -257,11 +258,6 @@ impl PlacementMemo {
 }
 
 impl ManagedLine {
-    /// Samples a fresh SLC line from an endurance model.
-    pub fn sample<R: Rng + ?Sized>(model: &EnduranceModel, rng: &mut R) -> Self {
-        ManagedLine::sample_with_tech(model, CellTech::Slc, rng)
-    }
-
     /// Samples a fresh line with the given cell technology.
     pub fn sample_with_tech<R: Rng + ?Sized>(
         model: &EnduranceModel,
@@ -358,44 +354,23 @@ impl ManagedLine {
         self.meta_updates
     }
 
-    /// Fast-forwards wear (accelerated lifetime engine); see
-    /// [`LineWear::add_wear`].
-    pub fn add_wear(&mut self, pos: usize, events: u32) -> Option<pcm_util::StuckAt> {
-        self.wear.add_wear(pos, events)
-    }
-
     /// Fast-forwards wear on every bit at once; see
     /// [`LineWear::add_wear_bulk`].
     pub fn add_wear_bulk(&mut self, grants: &[u32; pcm_util::DATA_BITS]) {
         self.wear.add_wear_bulk(grants)
     }
 
-    /// Checks whether a payload of `len` bytes could be stored (used for
-    /// dead-block resurrection): returns the offset that would be used.
+    /// The offset at which [`write`](Self::write) would place a payload
+    /// of `len` bytes, or `None` when the line cannot host that size (the
+    /// dead-block resurrection check asks this). Each window probe is
+    /// answered from the line's placement memo when this fault set has
+    /// met it before.
     ///
     /// # Panics
     ///
-    /// Panics unless `len` is `1..=64` and `preferred < 64`.
+    /// Panics unless `len` is `1..=64`, `preferred < 64`, and `step` is a
+    /// power of two dividing 64.
     pub fn can_host(
-        &mut self,
-        engine: &EccEngine,
-        len: usize,
-        preferred: usize,
-        slide: bool,
-    ) -> Option<usize> {
-        self.can_host_with_step(engine, len, preferred, slide, 1)
-    }
-
-    /// [`can_host`](Self::can_host) at a coarser window-placement
-    /// granularity (see [`window::find_offset_with_step`]). Each window
-    /// probe is answered from the line's placement memo when this fault
-    /// set has met it before.
-    ///
-    /// # Panics
-    ///
-    /// As [`can_host`](Self::can_host), plus if `step` is not a power of
-    /// two dividing 64.
-    pub(crate) fn can_host_with_step(
         &mut self,
         engine: &EccEngine,
         len: usize,
@@ -421,43 +396,25 @@ impl ManagedLine {
         self.valid = false;
     }
 
-    /// Writes a payload at (or near) `preferred` window offset.
+    /// Writes a payload at (or near) `preferred` window offset, placing
+    /// the window only at multiples of `step` bytes (`preferred` is
+    /// rounded down to that grid; see [`window::find_offset`]).
     ///
     /// `slide = true` enables the Comp+WF fault-dodging search; otherwise
-    /// the payload must fit at `preferred` exactly.
+    /// the payload must fit at the grid-rounded `preferred` exactly.
     ///
     /// # Errors
     ///
     /// Returns [`LineDead`] (and marks the line dead) when no feasible
-    /// window exists. The paper's Comp/Comp+W mark the block permanently
-    /// dead at this point; Comp+WF may later [`revive`](Self::revive) it.
+    /// window exists on the grid. The paper's Comp/Comp+W mark the block
+    /// permanently dead at this point; Comp+WF may later
+    /// [`revive`](Self::revive) it.
     ///
     /// # Panics
     ///
-    /// Panics if the payload is empty or exceeds 64 bytes, or `preferred >=
-    /// 64`.
+    /// Panics if the payload is empty or exceeds 64 bytes, `preferred >=
+    /// 64`, or `step` is not a power of two dividing 64.
     pub fn write(
-        &mut self,
-        engine: &EccEngine,
-        payload: Payload<'_>,
-        preferred: usize,
-        slide: bool,
-    ) -> Result<LineWriteReport, LineDead> {
-        self.write_with_step(engine, payload, preferred, slide, 1)
-    }
-
-    /// [`write`](Self::write) at a coarser window-placement granularity
-    /// (see [`window::find_offset_with_step`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LineDead`] when no feasible window exists on the grid.
-    ///
-    /// # Panics
-    ///
-    /// As [`write`](Self::write), plus if `step` is not a power of two
-    /// dividing 64.
-    pub(crate) fn write_with_step(
         &mut self,
         engine: &EccEngine,
         payload: Payload<'_>,
@@ -478,7 +435,7 @@ impl ManagedLine {
         // one newly-stuck cell, so 512 iterations bound the loop.
         loop {
             report.attempts += 1;
-            let offset = match self.can_host_with_step(engine, len, preferred, slide, step) {
+            let offset = match self.can_host(engine, len, preferred, slide, step) {
                 Some(o) => o,
                 None => {
                     self.dead = true;
@@ -488,7 +445,7 @@ impl ManagedLine {
                     });
                 }
             };
-            report.slid |= offset != preferred;
+            report.slid |= offset != preferred / step * step;
             report.offset = offset;
 
             let target = window::place(&self.wear.stored(), offset, payload.bytes);
@@ -576,7 +533,7 @@ mod tests {
         for offset in [0usize, 17, 60] {
             let data = Line512::random(&mut rng);
             let c = compress_best(&data);
-            let r = line.write(&e, payload_of(&c), offset, false).unwrap();
+            let r = line.write(&e, payload_of(&c), offset, false, 1).unwrap();
             assert_eq!(r.offset, offset);
             assert_eq!(r.attempts, 1);
             let (method, bytes) = line.read(&e).unwrap();
@@ -593,11 +550,11 @@ mod tests {
         let ones = Line512::ones();
         let c0 =
             CompressedWrite::from_parts(Method::Uncompressed, ones.to_bytes().to_vec()).unwrap();
-        line.write(&e, payload_of(&c0), 0, false).unwrap();
+        line.write(&e, payload_of(&c0), 0, false, 1).unwrap();
         // Now write a 1-byte zero payload at offset 5.
         let zeros = compress_best(&Line512::zero());
         assert_eq!(zeros.size(), 1);
-        let r = line.write(&e, payload_of(&zeros), 5, false).unwrap();
+        let r = line.write(&e, payload_of(&zeros), 5, false, 1).unwrap();
         assert_eq!(r.flips, 8, "only the window byte is programmed");
         // Cells outside the window still hold ones.
         assert_eq!(line.wear().stored().byte(4), 0xFF);
@@ -617,7 +574,7 @@ mod tests {
         for _ in 0..16 {
             let data = Line512::random(&mut rng);
             let c = compress_best(&data);
-            line.write(&e, payload_of(&c), 0, false).unwrap();
+            line.write(&e, payload_of(&c), 0, false, 1).unwrap();
             let (method, bytes) = line.read(&e).unwrap();
             let back = decompress(&CompressedWrite::from_parts(method, bytes).unwrap());
             assert_eq!(back, data, "ECP must mask the stuck cells");
@@ -636,7 +593,7 @@ mod tests {
         let data = Line512::ones();
         let c =
             CompressedWrite::from_parts(Method::Uncompressed, data.to_bytes().to_vec()).unwrap();
-        let err = line.write(&e, payload_of(&c), 0, false).unwrap_err();
+        let err = line.write(&e, payload_of(&c), 0, false, 1).unwrap_err();
         assert_eq!(err.faults, 7);
         assert!(line.is_dead());
         assert!(line.read(&e).is_none());
@@ -659,7 +616,7 @@ mod tests {
         let data = Line512::from_bytes(&narrow);
         let c = compress_best(&data);
         assert!(c.size() <= 16);
-        let r = line.write(&e, payload_of(&c), 0, true).unwrap();
+        let r = line.write(&e, payload_of(&c), 0, true, 1).unwrap();
         let (method, bytes) = line.read(&e).unwrap();
         let back = decompress(&CompressedWrite::from_parts(method, bytes).unwrap());
         assert_eq!(back, data);
@@ -679,13 +636,13 @@ mod tests {
         let ones =
             CompressedWrite::from_parts(Method::Uncompressed, Line512::ones().to_bytes().to_vec())
                 .unwrap();
-        line.write(&e, payload_of(&ones), 0, false).unwrap();
+        line.write(&e, payload_of(&ones), 0, false, 1).unwrap();
         // Write all-zeros: cell 8's second programming fails; the write
         // must verify-retry and cover it with ECP.
         let zeros =
             CompressedWrite::from_parts(Method::Uncompressed, Line512::zero().to_bytes().to_vec())
                 .unwrap();
-        let r = line.write(&e, payload_of(&zeros), 0, false).unwrap();
+        let r = line.write(&e, payload_of(&zeros), 0, false, 1).unwrap();
         assert!(r.attempts >= 2, "mid-write failure forces a retry");
         assert_eq!(r.new_faults, 1);
         let (method, bytes) = line.read(&e).unwrap();
@@ -704,13 +661,15 @@ mod tests {
         let big =
             CompressedWrite::from_parts(Method::Uncompressed, Line512::ones().to_bytes().to_vec())
                 .unwrap();
-        assert!(line.write(&e, payload_of(&big), 0, true).is_err());
+        assert!(line.write(&e, payload_of(&big), 0, true, 1).is_err());
         assert!(line.is_dead());
         // A 1-byte payload fits in the healthy tail: resurrection check.
-        let offset = line.can_host(&e, 1, 0, true).expect("healthy bytes remain");
+        let offset = line
+            .can_host(&e, 1, 0, true, 1)
+            .expect("healthy bytes remain");
         line.revive();
         let tiny = compress_best(&Line512::zero());
-        line.write(&e, payload_of(&tiny), offset, true).unwrap();
+        line.write(&e, payload_of(&tiny), offset, true, 1).unwrap();
         assert!(line.is_valid());
     }
 
@@ -724,15 +683,9 @@ mod tests {
                 for len in 1..=DATA_BYTES {
                     for preferred in [0, 13, 42, 63] {
                         let at = (e.choice, faults.count(), step, len, preferred);
-                        let slid = window::find_offset_with_step(
-                            e.scheme(),
-                            &faults,
-                            len,
-                            preferred,
-                            step,
-                        );
+                        let slid = window::find_offset(e.scheme(), &faults, len, preferred, step);
                         assert_eq!(
-                            line.can_host_with_step(e, len, preferred, true, step),
+                            line.can_host(e, len, preferred, true, step),
                             slid,
                             "slide {at:?}"
                         );
@@ -740,7 +693,7 @@ mod tests {
                         let window = window::faults_in_buf(&faults, grid, len, &mut buf);
                         let fixed = e.scheme().can_store(window).then_some(grid);
                         assert_eq!(
-                            line.can_host_with_step(e, len, preferred, false, step),
+                            line.can_host(e, len, preferred, false, step),
                             fixed,
                             "fixed {at:?}"
                         );
@@ -785,7 +738,7 @@ mod tests {
                 method: Method::Uncompressed,
                 bytes: &bytes,
             };
-            let _ = line.write(&writer, payload, (w * 11) % DATA_BYTES, true);
+            let _ = line.write(&writer, payload, (w * 11) % DATA_BYTES, true, 1);
             grown += (line.faults().count() > before) as u32;
         }
         assert_placements_match_search(&mut line, &engines);
@@ -795,37 +748,25 @@ mod tests {
     #[test]
     #[should_panic(expected = "window must be 1..=64 bytes")]
     fn fixed_placement_rejects_empty_payload() {
-        ManagedLine::with_endurance(vec![u32::MAX; 512]).can_host(&engine(), 0, 5, false);
+        ManagedLine::with_endurance(vec![u32::MAX; 512]).can_host(&engine(), 0, 5, false, 1);
     }
 
     #[test]
     #[should_panic(expected = "preferred offset must be < 64")]
     fn fixed_placement_rejects_offset_past_line() {
-        ManagedLine::with_endurance(vec![u32::MAX; 512]).can_host(&engine(), 8, 64, false);
+        ManagedLine::with_endurance(vec![u32::MAX; 512]).can_host(&engine(), 8, 64, false, 1);
     }
 
     #[test]
     #[should_panic(expected = "power of two")]
     fn fixed_placement_rejects_off_grid_step() {
-        ManagedLine::with_endurance(vec![u32::MAX; 512]).can_host_with_step(
-            &engine(),
-            8,
-            0,
-            false,
-            3,
-        );
+        ManagedLine::with_endurance(vec![u32::MAX; 512]).can_host(&engine(), 8, 0, false, 3);
     }
 
     #[test]
     #[should_panic(expected = "power of two")]
     fn fixed_placement_rejects_zero_step() {
-        ManagedLine::with_endurance(vec![u32::MAX; 512]).can_host_with_step(
-            &engine(),
-            8,
-            0,
-            false,
-            0,
-        );
+        ManagedLine::with_endurance(vec![u32::MAX; 512]).can_host(&engine(), 8, 0, false, 0);
     }
 
     #[test]
@@ -841,7 +782,7 @@ mod tests {
             for _ in 0..8 {
                 let data = Line512::random(&mut rng);
                 let c = compress_best(&data);
-                line.write(&e, payload_of(&c), 0, true).unwrap();
+                line.write(&e, payload_of(&c), 0, true, 1).unwrap();
                 let (method, bytes) = line.read(&e).unwrap();
                 let back = decompress(&CompressedWrite::from_parts(method, bytes).unwrap());
                 assert_eq!(back, data, "{choice:?}");
@@ -861,7 +802,7 @@ mod tests {
         for _ in 0..8 {
             let data = Line512::random(&mut rng);
             let c = compress_best(&data);
-            line.write(&e, payload_of(&c), 0, true).unwrap();
+            line.write(&e, payload_of(&c), 0, true, 1).unwrap();
             let (method, bytes) = line.read(&e).unwrap();
             let back = decompress(&CompressedWrite::from_parts(method, bytes).unwrap());
             assert_eq!(back, data);
@@ -886,7 +827,7 @@ mod tests {
                 };
                 let c = CompressedWrite::from_parts(Method::Uncompressed, data.to_bytes().to_vec())
                     .unwrap();
-                flips[i] += line.write(e, payload_of(&c), 0, false).unwrap().flips;
+                flips[i] += line.write(e, payload_of(&c), 0, false, 1).unwrap().flips;
                 let (_, bytes) = line.read(e).unwrap();
                 assert_eq!(Line512::from_bytes(&bytes.try_into().unwrap()), data);
             }

@@ -1,11 +1,26 @@
-//! The controller's per-write storage decision, shared by the functional
-//! memory model ([`crate::controller`]) and the accelerated line simulator
-//! ([`crate::lifetime::linesim`]). One implementation means the two engines
-//! can never drift apart on the compress-vs-store-raw choice — and it is
-//! allocation-free: payloads land in caller-owned [`PayloadBufs`] instead
-//! of per-write `Vec`s.
+//! The controller's per-write storage step (paper §III), shared by the
+//! functional bank ([`crate::bank`]), the accelerated line simulator
+//! ([`crate::lifetime::linesim`]) and the verification churn
+//! ([`crate::verify::churn`]), so the engines cannot drift apart on any
+//! part of it:
+//!
+//! 1. [`choose_payload`] compresses the write-back with BEST and applies
+//!    the Fig. 8 saturating-counter heuristic, which may store
+//!    compressible data raw to save bit flips.
+//! 2. [`store`] starts the window at the intra-line rotation offset under
+//!    Comp+W and Comp+WF, at byte 0 otherwise. It reverts a raw choice to
+//!    the compressed fallback when only the fallback still fits (storing
+//!    raw is a flip optimization, never a requirement), then writes:
+//!    Comp+WF slides the window past worn cells, and every system places
+//!    it on the `window_step` grid.
+//! 3. [`revivable`] is Comp+WF's dead-block resurrection check
+//!    (§III-A.3), run on the smallest storable form of the incoming data.
+//!
+//! The step is allocation-free: payloads land in caller-owned
+//! [`PayloadBufs`] instead of per-write `Vec`s.
 
 use crate::heuristic::Decision;
+use crate::line::{EccEngine, LineDead, LineWriteReport, ManagedLine, Payload};
 use crate::system::SystemConfig;
 use pcm_compress::{compress_best_into, Method};
 use pcm_util::{Line512, DATA_BYTES};
@@ -115,6 +130,105 @@ pub(crate) fn choose_payload(
     }
 }
 
+/// The window start a write prefers: the intra-line rotation offset on
+/// rotating systems, byte 0 otherwise.
+pub(crate) fn preferred_offset(sys: &SystemConfig, rotation: usize) -> usize {
+    if sys.kind.rotates() {
+        rotation
+    } else {
+        0
+    }
+}
+
+/// The outcome of one successful [`store`].
+#[derive(Debug)]
+pub(crate) struct Stored<'a> {
+    /// The line-level write report.
+    pub report: LineWriteReport,
+    /// How the stored bytes are encoded.
+    pub method: Method,
+    /// The bytes now held in the compression window.
+    pub bytes: &'a [u8],
+    /// The block's host metadata after this write.
+    pub meta: HostMeta,
+}
+
+/// Stores one write-back of `data` into `line`: the payload choice, the
+/// fallback revert and the write itself (see the module docs).
+///
+/// `meta` is the block's host metadata before the write and `rotation`
+/// the bank's intra-line rotation offset.
+///
+/// # Errors
+///
+/// Returns [`LineDead`], leaving the line dead, when the chosen form
+/// cannot be stored.
+pub(crate) fn store<'a>(
+    line: &mut ManagedLine,
+    engine: &EccEngine,
+    sys: &SystemConfig,
+    meta: HostMeta,
+    data: &Line512,
+    rotation: usize,
+    bufs: &'a mut PayloadBufs,
+) -> Result<Stored<'a>, LineDead> {
+    let (mut method, new_meta, fallback) = choose_payload(sys, meta, data, bufs);
+    let bufs: &'a PayloadBufs = bufs;
+    let preferred = preferred_offset(sys, rotation);
+    let (slide, step) = (sys.kind.slides(), sys.window_step);
+    let mut bytes = bufs.chosen();
+    if let Some(fb_method) = fallback {
+        if line
+            .can_host(engine, bytes.len(), preferred, slide, step)
+            .is_none()
+            && line
+                .can_host(engine, bufs.fallback().len(), preferred, slide, step)
+                .is_some()
+        {
+            bytes = bufs.fallback();
+            method = fb_method;
+        }
+    }
+    let report = line.write(engine, Payload { method, bytes }, preferred, slide, step)?;
+    Ok(Stored {
+        report,
+        method,
+        bytes,
+        meta: HostMeta {
+            sc: new_meta.sc,
+            last_size: bytes.len(),
+        },
+    })
+}
+
+/// Comp+WF's dead-block resurrection check: whether the dead `line` can
+/// host `data` in its smallest storable form, BEST's output. Any form
+/// fitting would do, and the smallest decides for all of them because
+/// every scheme's `can_store` is subset-closed: a window that holds a
+/// larger form holds a shorter one at the same offset. Systems that do
+/// not slide never revive.
+pub(crate) fn revivable(
+    line: &mut ManagedLine,
+    engine: &EccEngine,
+    sys: &SystemConfig,
+    data: &Line512,
+    rotation: usize,
+    bufs: &mut PayloadBufs,
+) -> bool {
+    if !sys.kind.slides() {
+        return false;
+    }
+    let (_, _, fallback) = choose_payload(sys, HostMeta::default(), data, bufs);
+    let len = if fallback.is_some() {
+        bufs.fallback().len()
+    } else {
+        bufs.chosen().len()
+    };
+    let preferred = preferred_offset(sys, rotation);
+    line.can_host(engine, len, preferred, true, sys.window_step)
+        .is_some()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -172,5 +286,48 @@ mod tests {
         }
         meta = new_meta;
         let _ = meta;
+    }
+
+    #[test]
+    fn store_reverts_to_the_fallback_only_when_raw_cannot_fit() {
+        // Base-8 delta-1 words compress to 16 bytes, and a saturated
+        // counter makes the heuristic choose raw storage for them.
+        let mut raw = [0u8; DATA_BYTES];
+        for (w, word) in raw.chunks_mut(8).enumerate() {
+            word.copy_from_slice(&(0x1234_5678_9abc_def0u64 + w as u64).to_le_bytes());
+        }
+        let data = Line512::from_bytes(&raw);
+        let sys = SystemConfig::new(SystemKind::CompWF);
+        let engine = EccEngine::new(sys.ecc);
+        let meta = HostMeta {
+            sc: 3,
+            last_size: 16,
+        };
+        let mut bufs = PayloadBufs::new();
+        let mut healthy = ManagedLine::with_endurance(vec![u32::MAX; 512]);
+        let s = store(&mut healthy, &engine, &sys, meta, &data, 0, &mut bufs).expect("fits");
+        assert_eq!(
+            (s.method, s.bytes.len()),
+            (Method::Uncompressed, DATA_BYTES)
+        );
+        // Seven faults in bytes 0..7 defeat ECP-6 over the whole line but
+        // not a 16-byte window past them.
+        let faults = (0..7)
+            .map(|i| pcm_util::StuckAt {
+                pos: i * 8,
+                value: true,
+            })
+            .collect();
+        let mut worn = ManagedLine::with_faults(&faults);
+        let s = store(&mut worn, &engine, &sys, meta, &data, 0, &mut bufs).expect("fallback fits");
+        assert!(s.method.is_compressed() && s.report.slid);
+        assert_eq!((s.bytes.len(), s.meta.sc, s.meta.last_size), (16, 3, 16));
+        // The resurrection check answers on that smallest form; a raw-only
+        // payload or a non-sliding system never revives.
+        assert!(revivable(&mut worn, &engine, &sys, &data, 0, &mut bufs));
+        let random = Line512::random(&mut pcm_util::seeded_rng(32));
+        assert!(!revivable(&mut worn, &engine, &sys, &random, 0, &mut bufs));
+        let comp = SystemConfig::new(SystemKind::Comp);
+        assert!(!revivable(&mut worn, &engine, &comp, &data, 0, &mut bufs));
     }
 }

@@ -3,7 +3,9 @@
 //! Three layers of checking, all deterministic from `(plan, seed)`:
 //!
 //! 1. **Line churn** — a [`ManagedLine`] seeded with a [`FaultPlan`]'s
-//!    exact faults serves a stream of compressible/random write-backs;
+//!    exact faults serves a stream of compressible/random write-backs
+//!    through the controller's storage step (`payload::store`: BEST,
+//!    the Fig. 8 heuristic and its fallback revert, window placement);
 //!    every write is immediately read back through the full
 //!    decode/decompress path and compared bit-for-bit.
 //! 2. **Window-slide correctness** — whenever a write lands away from its
@@ -12,16 +14,17 @@
 //!    host the payload) and still landed on the window-step grid.
 //! 3. **Memory churn** — a whole [`PcmMemory`] under low endurance runs a
 //!    random write stream against a shadow model; read-after-write
-//!    integrity, dead-line read behavior, and resurrection accounting
-//!    (`resurrections`/`deaths` statistics vs. observed transitions) are
-//!    checked at every step.
+//!    integrity, grid placement, dead-line read behavior, and resurrection
+//!    accounting (`resurrections`/`deaths` statistics vs. observed
+//!    transitions) are checked at every step.
 
 use crate::controller::{PcmMemory, WriteError};
-use crate::line::{EccEngine, ManagedLine, Payload};
+use crate::line::{EccEngine, ManagedLine};
+use crate::payload::{preferred_offset, store, HostMeta, PayloadBufs};
 use crate::system::SystemConfig;
-use pcm_compress::{compress_best, decompress, CompressedWrite};
+use pcm_compress::{decompress, CompressedWrite};
 use pcm_trace::BlockStream;
-use pcm_util::{child_seed, seeded_rng, FaultPlan, Line512};
+use pcm_util::{child_seed, seeded_rng, FaultPlan, Line512, DATA_BYTES};
 use rand::{Rng, RngExt};
 
 /// What write-back payloads a line churn feeds the system.
@@ -64,6 +67,19 @@ pub struct ChurnStats {
     pub resurrections: u64,
 }
 
+impl ChurnStats {
+    /// The counters of two churn runs added together.
+    pub(crate) fn plus(&self, other: &ChurnStats) -> ChurnStats {
+        ChurnStats {
+            writes_checked: self.writes_checked + other.writes_checked,
+            slides: self.slides + other.slides,
+            retries: self.retries + other.retries,
+            deaths: self.deaths + other.deaths,
+            resurrections: self.resurrections + other.resurrections,
+        }
+    }
+}
+
 /// A churn failure: what diverged, where.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChurnError {
@@ -104,6 +120,7 @@ pub fn churn_lines(
     seed: u64,
 ) -> Result<ChurnStats, ChurnError> {
     let engine = EccEngine::new(sys.ecc);
+    let mut bufs = PayloadBufs::new();
     let mut stats = ChurnStats::default();
     for line_idx in 0..lines {
         let faults = plan.for_line(line_idx);
@@ -113,34 +130,16 @@ pub fn churn_lines(
             child_seed(seed, line_idx),
         );
         let mut rng = seeded_rng(child_seed(seed ^ 0x5EED, line_idx));
+        let mut meta = HostMeta::default();
         for w in 0..writes {
             let data = match data_mix {
                 ChurnData::Compressible => compressible_line(&mut rng),
                 ChurnData::Mixed if w % 3 == 0 => Line512::random(&mut rng),
                 ChurnData::Mixed => block.next_data(),
             };
-            let c = compress_best(&data);
-            let (bytes, method) = if sys.kind.compresses() {
-                (c.bytes().to_vec(), c.method())
-            } else {
-                (data.to_bytes().to_vec(), pcm_compress::Method::Uncompressed)
-            };
-            let preferred = if sys.kind.rotates() {
-                (w as usize * 7) % pcm_util::DATA_BYTES / sys.window_step * sys.window_step
-            } else {
-                0
-            };
-            let report = match line.write_with_step(
-                &engine,
-                Payload {
-                    method,
-                    bytes: &bytes,
-                },
-                preferred,
-                sys.kind.slides(),
-                sys.window_step,
-            ) {
-                Ok(r) => r,
+            let rotation = (w as usize * 7) % DATA_BYTES;
+            let stored = match store(&mut line, &engine, sys, meta, &data, rotation, &mut bufs) {
+                Ok(s) => s,
                 Err(_) => {
                     // The plan may be dense enough to kill the line. The
                     // death must be honest: a dead line must refuse reads.
@@ -154,6 +153,8 @@ pub fn churn_lines(
                     break;
                 }
             };
+            let (report, method, bytes) = (stored.report, stored.method, stored.bytes);
+            meta = stored.meta;
 
             // Read-after-write: full decode + decompress round trip.
             let (r_method, r_bytes) = line.read(&engine).ok_or_else(|| ChurnError {
@@ -202,16 +203,11 @@ pub fn churn_lines(
                 // The slide must have been necessary: the preferred grid
                 // offset cannot host this payload against the *current*
                 // fault set (faults only grow, so checking now is sound).
-                let grid_preferred = preferred / sys.window_step * sys.window_step;
+                let step = sys.window_step;
+                let grid_preferred = preferred_offset(sys, rotation) / step * step;
                 churn_check!(
-                    line.can_host_with_step(
-                        &engine,
-                        bytes.len(),
-                        grid_preferred,
-                        false,
-                        sys.window_step
-                    )
-                    .is_none(),
+                    line.can_host(&engine, bytes.len(), grid_preferred, false, step)
+                        .is_none(),
                     "line {line_idx} write {w} ({}, {}): slid from hostable offset \
                      {grid_preferred} to {} (seed {seed})",
                     sys.kind,
@@ -258,6 +254,13 @@ pub fn churn_memory(
         let before = mem.stats();
         match mem.write(l, data) {
             Ok(report) => {
+                churn_check!(
+                    report.line.offset % sys.window_step == 0,
+                    "step {step} line {l} ({}): offset {} off the step-{} grid (seed {seed})",
+                    sys.kind,
+                    report.line.offset,
+                    sys.window_step
+                );
                 shadow[l as usize] = Some(data);
                 stats.writes_checked += 1;
                 stats.slides += report.line.slid as u64;

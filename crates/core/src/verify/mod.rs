@@ -9,10 +9,11 @@
 //!   [`PcmMemory`](crate::PcmMemory) and the accelerated lifetime engine
 //!   and diffs their statistics under per-statistic tolerances.
 //! - [`run_all`] sweeps both checks over every
-//!   [`SystemKind`] × hard-error-scheme combination at two endurance
-//!   settings, then churns every registered inter-line wear scheme
-//!   through the whole-memory harness — the matrix the `pcm-verify`
-//!   binary (and the `verify` stage of `scripts_run_all.sh`) runs.
+//!   [`SystemKind`] × hard-error-scheme combination, and Comp+WF/ECP-6 on
+//!   a 4-byte window grid, at two endurance settings, then churns every
+//!   registered inter-line wear scheme through the whole-memory harness —
+//!   the matrix the `pcm-verify` binary (and the `verify` stage of
+//!   `scripts_run_all.sh`) runs.
 //!
 //! Fault plans come from [`pcm_util::FaultPlan`]: position-exact,
 //! density-driven, or count-driven stuck-at sets with a chosen SA-0/SA-1
@@ -72,8 +73,8 @@ impl Default for VerifyConfig {
     }
 }
 
-/// The outcome of one [`SystemKind`] × [`EccChoice`] × [`WearChoice`]
-/// combination.
+/// The outcome of one [`SystemKind`] × [`EccChoice`] × [`WearChoice`] ×
+/// window-step combination.
 #[derive(Debug, Clone)]
 pub struct VerifyEntry {
     /// The system evaluated.
@@ -82,6 +83,8 @@ pub struct VerifyEntry {
     pub ecc: EccChoice,
     /// The inter-line wear scheme evaluated.
     pub wear: WearChoice,
+    /// The window placement granularity in bytes.
+    pub window_step: usize,
     /// Combined line + memory churn outcome.
     pub churn: Result<ChurnStats, ChurnError>,
     /// One oracle report per endurance setting.
@@ -113,7 +116,10 @@ impl VerifyReport {
         let mut out = Vec::new();
         for e in &self.entries {
             if let Err(err) = &e.churn {
-                out.push(format!("{} / {} / {}: churn: {err}", e.kind, e.ecc, e.wear));
+                out.push(format!(
+                    "{} / {} / {} / step {}: churn: {err}",
+                    e.kind, e.ecc, e.wear, e.window_step
+                ));
             }
             for o in &e.oracles {
                 if !o.passed() {
@@ -126,7 +132,8 @@ impl VerifyReport {
 }
 
 /// Runs churn (and, unless `churn_only`, the differential oracle) for
-/// every [`SystemKind`] × [`EccChoice`] combination in the config.
+/// every [`SystemKind`] × [`EccChoice`] combination in the config, plus
+/// Comp+WF/ECP-6 on a 4-byte window grid.
 ///
 /// Returns a [`VerifyReport`] whose [`VerifyEntry`] rows name each
 /// combination.
@@ -140,84 +147,18 @@ pub fn run_all(cfg: &VerifyConfig) -> VerifyReport {
     for (ki, kind) in SystemKind::ALL.into_iter().enumerate() {
         for (ei, &ecc) in cfg.eccs.iter().enumerate() {
             let combo_seed = pcm_util::child_seed(cfg.seed, (ki * 16 + ei) as u64);
-            let sys = SystemConfig::new(kind)
-                .with_endurance_mean(1e9)
-                .with_ecc(ecc);
-            // Plans: a polarity-mixed sparse plan every scheme must absorb,
-            // driven by workload-shaped data.
-            let plan = FaultPlan::with_count(combo_seed, sparse_fault_budget(ecc), 0.5);
-            let churn = churn_lines(
-                &sys,
-                &plan,
-                ChurnData::Mixed,
-                cfg.churn_lines,
-                cfg.churn_writes,
-                combo_seed,
-            )
-            .and_then(|line_stats| {
-                // Sliding systems additionally face a fault cluster that
-                // defeats the preferred offset but not the line, under
-                // always-compressible payloads: every write must dodge.
-                if kind.slides() {
-                    let cluster = FaultPlan::with_count(combo_seed ^ 0xC1_05, 16, 0.5);
-                    churn_lines(
-                        &sys,
-                        &cluster,
-                        ChurnData::Compressible,
-                        cfg.churn_lines,
-                        cfg.churn_writes,
-                        combo_seed ^ 0x51_1D,
-                    )
-                    .map(|s| ChurnStats {
-                        writes_checked: line_stats.writes_checked + s.writes_checked,
-                        slides: line_stats.slides + s.slides,
-                        retries: line_stats.retries + s.retries,
-                        deaths: line_stats.deaths + s.deaths,
-                        resurrections: line_stats.resurrections + s.resurrections,
-                    })
-                } else {
-                    Ok(line_stats)
-                }
-            })
-            .and_then(|line_stats| {
-                // Low enough endurance that lines die (and, under
-                // Comp+WF, revive) within the churn budget — the whole
-                // point is to exercise the death/resurrection accounting.
-                let msys = SystemConfig::new(kind)
-                    .with_endurance_mean(60.0)
-                    .with_ecc(ecc);
-                churn_memory(&msys, 16, cfg.memory_writes, combo_seed ^ 0x4D45_4D00).map(
-                    |mem_stats| ChurnStats {
-                        writes_checked: line_stats.writes_checked + mem_stats.writes_checked,
-                        slides: line_stats.slides + mem_stats.slides,
-                        retries: line_stats.retries + mem_stats.retries,
-                        deaths: line_stats.deaths + mem_stats.deaths,
-                        resurrections: line_stats.resurrections + mem_stats.resurrections,
-                    },
-                )
-            });
-            let oracles = if cfg.churn_only {
-                Vec::new()
-            } else {
-                cfg.endurance_means
-                    .iter()
-                    .map(|&mean| {
-                        let osys = SystemConfig::new(kind)
-                            .with_endurance_mean(mean)
-                            .with_ecc(ecc);
-                        run_oracle(&OracleConfig::new(osys, cfg.app, combo_seed))
-                    })
-                    .collect()
-            };
-            entries.push(VerifyEntry {
-                kind,
-                ecc,
-                wear: WearChoice::StartGap,
-                churn,
-                oracles,
-            });
+            let sys = SystemConfig::new(kind).with_ecc(ecc);
+            entries.push(check_stack(cfg, sys, combo_seed));
         }
     }
+    // A coarse placement grid: the slide, the fallback revert and
+    // resurrection must all keep the window on it, in both engines.
+    let coarse = SystemConfig::new(SystemKind::CompWF).with_window_step(4);
+    entries.push(check_stack(
+        cfg,
+        coarse,
+        pcm_util::child_seed(cfg.seed, 0x57E9_0004),
+    ));
     // Wear-scheme sweep: every registered inter-line scheme gets a
     // whole-memory churn pass under the full Comp+WF stack (16 lines → 8
     // power-of-two banks, so Security Refresh's constraint is met). The
@@ -233,11 +174,77 @@ pub fn run_all(cfg: &VerifyConfig) -> VerifyReport {
             kind: SystemKind::CompWF,
             ecc: EccChoice::Ecp6,
             wear,
+            window_step: msys.window_step,
             churn,
             oracles: Vec::new(),
         });
     }
     VerifyReport { entries }
+}
+
+/// Churns one Start-Gap stack (`sys` names kind, scheme and window step;
+/// each check sets its own endurance) and, unless `churn_only`, runs the
+/// oracle at both endurance settings.
+fn check_stack(cfg: &VerifyConfig, sys: SystemConfig, combo_seed: u64) -> VerifyEntry {
+    let kind = sys.kind;
+    let lsys = sys.with_endurance_mean(1e9);
+    // Plans: a polarity-mixed sparse plan every scheme must absorb,
+    // driven by workload-shaped data.
+    let plan = FaultPlan::with_count(combo_seed, sparse_fault_budget(sys.ecc), 0.5);
+    let churn = churn_lines(
+        &lsys,
+        &plan,
+        ChurnData::Mixed,
+        cfg.churn_lines,
+        cfg.churn_writes,
+        combo_seed,
+    )
+    .and_then(|line_stats| {
+        // Sliding systems additionally face a fault cluster that
+        // defeats the preferred offset but not the line, under
+        // always-compressible payloads: every write must dodge.
+        if kind.slides() {
+            let cluster = FaultPlan::with_count(combo_seed ^ 0xC1_05, 16, 0.5);
+            churn_lines(
+                &lsys,
+                &cluster,
+                ChurnData::Compressible,
+                cfg.churn_lines,
+                cfg.churn_writes,
+                combo_seed ^ 0x51_1D,
+            )
+            .map(|s| line_stats.plus(&s))
+        } else {
+            Ok(line_stats)
+        }
+    })
+    .and_then(|line_stats| {
+        // Low enough endurance that lines die (and, under Comp+WF,
+        // revive) within the churn budget — the whole point is to
+        // exercise the death/resurrection accounting.
+        let msys = sys.with_endurance_mean(60.0);
+        churn_memory(&msys, 16, cfg.memory_writes, combo_seed ^ 0x4D45_4D00)
+            .map(|mem_stats| line_stats.plus(&mem_stats))
+    });
+    let oracles = if cfg.churn_only {
+        Vec::new()
+    } else {
+        cfg.endurance_means
+            .iter()
+            .map(|&mean| {
+                let osys = sys.with_endurance_mean(mean);
+                run_oracle(&OracleConfig::new(osys, cfg.app, combo_seed))
+            })
+            .collect()
+    };
+    VerifyEntry {
+        kind,
+        ecc: sys.ecc,
+        wear: sys.wear,
+        window_step: sys.window_step,
+        churn,
+        oracles,
+    }
 }
 
 /// A stuck-at budget every scheme can absorb in a full-line window:
@@ -265,8 +272,8 @@ mod tests {
         let report = run_all(&cfg);
         assert_eq!(
             report.entries.len(),
-            SystemKind::ALL.len() * EccChoice::ALL.len() + WearChoice::ALL.len(),
-            "4 systems x 5 ECC schemes + 3 wear schemes"
+            SystemKind::ALL.len() * EccChoice::ALL.len() + 1 + WearChoice::ALL.len(),
+            "4 systems x 5 ECC schemes + the step-4 grid + 3 wear schemes"
         );
         assert!(
             report.passed(),
@@ -277,10 +284,11 @@ mod tests {
             let stats = e.churn.as_ref().unwrap();
             assert!(
                 stats.writes_checked > 0,
-                "{} / {} / {} exercised nothing",
+                "{} / {} / {} / step {} exercised nothing",
                 e.kind,
                 e.ecc,
-                e.wear
+                e.wear,
+                e.window_step
             );
         }
     }

@@ -177,9 +177,10 @@ impl OracleReport {
     /// A one-line-per-statistic human summary.
     pub fn describe(&self) -> String {
         let mut out = format!(
-            "{} / {} / mean {:.0} ({:?}):",
+            "{} / {} / step {} / mean {:.0} ({:?}):",
             self.system.kind,
             self.system.ecc,
+            self.system.window_step,
             self.system.endurance.mean(),
             self.app
         );

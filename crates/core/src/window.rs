@@ -102,9 +102,21 @@ pub fn fault_map_in(faults: &FaultMap, offset: usize, len: usize) -> FaultMap {
 
 /// The Comp+WF window search (§III-A): finds a start offset at which a
 /// `len`-byte payload is storable under `scheme`, trying `preferred` first
-/// and then sliding byte-by-byte (wrapping) through all 64 positions.
+/// and then sliding (wrapping) through the line.
+///
+/// Only offsets that are multiples of `step` (relative to byte 0) are
+/// considered, and `preferred` is rounded down to that grid. The paper's
+/// 6-bit start pointer is byte-granular (`step = 1`); a coarser grid
+/// shrinks the pointer to `6 - log2(step)` bits at the cost of fewer
+/// placement choices (the `ablation_window_step` bench quantifies the
+/// lifetime cost).
 ///
 /// Returns `None` when the line is dead for this payload size.
+///
+/// # Panics
+///
+/// Panics unless `step` is a power of two dividing 64, `preferred < 64`,
+/// and `len` is `1..=64`.
 ///
 /// # Examples
 ///
@@ -116,31 +128,10 @@ pub fn fault_map_in(faults: &FaultMap, offset: usize, len: usize) -> FaultMap {
 /// // Ten faults in byte 0..2: a 32-byte window starting at byte 0 fails
 /// // ECP-6, but sliding past them succeeds.
 /// let faults: FaultMap = (0..10u16).map(|i| StuckAt { pos: i, value: true }).collect();
-/// let offset = find_offset(&Ecp::new(6), &faults, 32, 0).unwrap();
+/// let offset = find_offset(&Ecp::new(6), &faults, 32, 0, 1).unwrap();
 /// assert_ne!(offset, 0);
 /// ```
 pub fn find_offset(
-    scheme: &dyn HardErrorScheme,
-    faults: &FaultMap,
-    len: usize,
-    preferred: usize,
-) -> Option<usize> {
-    find_offset_with_step(scheme, faults, len, preferred, 1)
-}
-
-/// [`find_offset`] with a coarser placement granularity: only offsets that
-/// are multiples of `step` (relative to byte 0) are considered, shrinking
-/// the start-pointer metadata from 6 bits to `6 - log2(step)` at the cost
-/// of fewer placement choices (the `ablation_window_step` bench quantifies
-/// the lifetime cost).
-///
-/// `preferred` is rounded down to the grid.
-///
-/// # Panics
-///
-/// Panics unless `step` is a power of two dividing 64, `preferred < 64`,
-/// and `len` is `1..=64`.
-pub fn find_offset_with_step(
     scheme: &dyn HardErrorScheme,
     faults: &FaultMap,
     len: usize,
@@ -245,7 +236,7 @@ mod tests {
     fn find_offset_prefers_preferred() {
         let ecp = Ecp::new(6);
         let faults = FaultMap::new();
-        assert_eq!(find_offset(&ecp, &faults, 16, 37), Some(37));
+        assert_eq!(find_offset(&ecp, &faults, 16, 37, 1), Some(37));
     }
 
     #[test]
@@ -253,7 +244,7 @@ mod tests {
         let ecp = Ecp::new(6);
         // 8 faults in byte 0: infeasible for any window containing byte 0.
         let faults: FaultMap = (0..8u16).map(|pos| StuckAt { pos, value: true }).collect();
-        let offset = find_offset(&ecp, &faults, 16, 0).unwrap();
+        let offset = find_offset(&ecp, &faults, 16, 0, 1).unwrap();
         // The window [offset, offset+16) must not contain byte 0.
         assert!(offset >= 1 && offset <= 48, "offset {offset}");
     }
@@ -263,8 +254,8 @@ mod tests {
         let ecp = Ecp::new(6);
         // 8 faults in byte 0..1 kill any window containing them.
         let faults: FaultMap = (0..8u16).map(|pos| StuckAt { pos, value: true }).collect();
-        let fine = find_offset_with_step(&ecp, &faults, 16, 0, 1).unwrap();
-        let coarse = find_offset_with_step(&ecp, &faults, 16, 0, 8).unwrap();
+        let fine = find_offset(&ecp, &faults, 16, 0, 1).unwrap();
+        let coarse = find_offset(&ecp, &faults, 16, 0, 8).unwrap();
         assert_eq!(
             fine, 1,
             "byte-granular search lands right after the cluster"
@@ -277,13 +268,13 @@ mod tests {
     fn coarse_step_rounds_preferred_down() {
         let ecp = Ecp::new(6);
         let faults = FaultMap::new();
-        assert_eq!(find_offset_with_step(&ecp, &faults, 8, 19, 4), Some(16));
+        assert_eq!(find_offset(&ecp, &faults, 8, 19, 4), Some(16));
     }
 
     #[test]
     #[should_panic(expected = "power of two")]
     fn rejects_bad_step() {
-        find_offset_with_step(&Ecp::new(6), &FaultMap::new(), 8, 0, 3);
+        find_offset(&Ecp::new(6), &FaultMap::new(), 8, 0, 3);
     }
 
     #[test]
@@ -295,7 +286,7 @@ mod tests {
             .take(512)
             .map(|pos| StuckAt { pos, value: false })
             .collect();
-        assert_eq!(find_offset(&ecp, &faults, 16, 0), None);
+        assert_eq!(find_offset(&ecp, &faults, 16, 0, 1), None);
     }
 
     #[test]
@@ -307,13 +298,13 @@ mod tests {
                 value: true,
             })
             .collect();
-        assert!(find_offset(&ecp, &few, 64, 0).is_some());
+        assert!(find_offset(&ecp, &few, 64, 0, 1).is_some());
         let many: FaultMap = (0..7u16)
             .map(|i| StuckAt {
                 pos: i * 70,
                 value: true,
             })
             .collect();
-        assert_eq!(find_offset(&ecp, &many, 64, 0), None);
+        assert_eq!(find_offset(&ecp, &many, 64, 0, 1), None);
     }
 }

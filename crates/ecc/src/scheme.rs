@@ -62,6 +62,12 @@ pub trait HardErrorScheme: Send + Sync {
     /// controller asks), not on the data, the stuck values or any earlier
     /// call. A line's placement memo relies on this to answer a window it
     /// has already probed without asking again.
+    ///
+    /// The answer is also subset-closed: if a position set is storable,
+    /// so is every subset of it. The window controller relies on this:
+    /// a window that holds a payload holds any shorter payload at the
+    /// same offset, so one resurrection check on the smallest payload
+    /// form answers for every form.
     fn can_store(&self, fault_positions: &[u16]) -> bool;
 
     /// Payload-transform tag bits this scheme stores per line, *on top of*

@@ -35,6 +35,7 @@ fn write(line: &mut ManagedLine, engine: &EccEngine, data: Line512) -> (usize, u
             },
             0,
             true,
+            1,
         )
         .expect("line still serviceable");
     // Verify the read path end-to-end.
@@ -98,12 +99,12 @@ fn main() {
     let random = Line512::random(&mut rng);
     let c = compress_best(&random);
     assert_eq!(c.method(), Method::Uncompressed);
-    match line.write(&engine, Payload { method: c.method(), bytes: c.bytes() }, 0, true) {
+    match line.write(&engine, Payload { method: c.method(), bytes: c.bytes() }, 0, true, 1) {
         Ok(r) => println!("    64B write stored (offset {}) — fault count still within budget", r.offset),
         Err(e) => println!("    64B write failed ({e}) — the block is dead *for this data*, but a compressible block could still resurrect it"),
     }
 
-    let can_host_small = line.can_host(&engine, 16, 0, true).is_some();
+    let can_host_small = line.can_host(&engine, 16, 0, true, 1).is_some();
     println!(
         "    resurrection check: a 16B payload {} fit this line",
         if can_host_small { "would" } else { "would not" }

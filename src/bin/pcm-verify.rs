@@ -2,7 +2,8 @@
 //!
 //! Runs the fault-injection churn harness and the replay-vs-engine
 //! differential oracle over every `SystemKind` × hard-error-scheme
-//! combination at two endurance settings, plus a whole-memory churn pass
+//! combination, and Comp+WF/ECP-6 on a 4-byte window grid, at two
+//! endurance settings, plus a whole-memory churn pass
 //! per registered inter-line wear scheme (see DESIGN.md "Verification"),
 //! printing one block per combination and exiting non-zero on any
 //! mismatch — the `verify` stage of `scripts_run_all.sh`.
@@ -48,10 +49,11 @@ fn main() {
             Ok(s) => {
                 if !quiet {
                     println!(
-                        "{:8} / {:11} / {:9} churn: {} writes, {} slides, {} deaths, {} revived [{verdict}]",
+                        "{:8} / {:11} / {:9} / step {} churn: {} writes, {} slides, {} deaths, {} revived [{verdict}]",
                         entry.kind.to_string(),
                         entry.ecc.to_string(),
                         entry.wear.to_string(),
+                        entry.window_step,
                         s.writes_checked,
                         s.slides,
                         s.deaths,
@@ -60,10 +62,11 @@ fn main() {
                 }
             }
             Err(e) => println!(
-                "{:8} / {:11} / {:9} churn FAIL: {e}",
+                "{:8} / {:11} / {:9} / step {} churn FAIL: {e}",
                 entry.kind.to_string(),
                 entry.ecc.to_string(),
-                entry.wear.to_string()
+                entry.wear.to_string(),
+                entry.window_step
             ),
         }
         for o in &entry.oracles {

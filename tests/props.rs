@@ -41,7 +41,7 @@ proptest! {
         }
         let mut line = ManagedLine::with_endurance(endurance);
         let c = compress_best(&data);
-        line.write(&engine, Payload { method: c.method(), bytes: c.bytes() }, offset, true)
+        line.write(&engine, Payload { method: c.method(), bytes: c.bytes() }, offset, true, 1)
             .expect("at most 5 weak cells is within every scheme's guarantee");
         let (method, bytes) = line.read(&engine).expect("valid");
         let back = decompress(&CompressedWrite::from_parts(method, bytes).unwrap());
@@ -76,6 +76,44 @@ proptest! {
         let f = collab_pcm::compress::fpc::compress(&data);
         if f.size() < 64 {
             prop_assert!(best.size() <= f.size());
+        }
+    }
+
+    /// Every registered scheme's `can_store` is subset-closed: a storable
+    /// fault set stays storable with any of its positions removed. The
+    /// controller's single resurrection check relies on it.
+    #[test]
+    fn can_store_is_subset_closed(
+        draws in prop::collection::vec(0u16..512, 0..=48),
+        clustered in any::<bool>(),
+        masks in prop::collection::vec(any::<u64>(), 50),
+    ) {
+        for choice in EccChoice::ALL.into_iter().chain([EccChoice::EcpN(8)]) {
+            let scheme = choice.scheme();
+            // Grow a storable set from the draws, keeping each position
+            // that leaves it storable; clustered draws share 8 bytes.
+            let mut set: Vec<u16> = Vec::new();
+            for &d in &draws {
+                let pos = if clustered { d % 64 } else { d };
+                if let Err(at) = set.binary_search(&pos) {
+                    set.insert(at, pos);
+                    if !scheme.can_store(&set) {
+                        set.remove(at);
+                    }
+                }
+            }
+            for &mask in &masks {
+                let subset: Vec<u16> = set
+                    .iter()
+                    .enumerate()
+                    .filter(|&(i, _)| (mask >> i) & 1 == 1)
+                    .map(|(_, &pos)| pos)
+                    .collect();
+                prop_assert!(
+                    scheme.can_store(&subset),
+                    "{choice}: {subset:?} is a subset of storable {set:?}"
+                );
+            }
         }
     }
 

@@ -4,8 +4,9 @@
 //! The full two-endurance oracle matrix runs in the `verify` stage of
 //! `scripts_run_all.sh` (`pcm-verify`); this suite keeps a fast
 //! representative slice in the tier-1 tests: the churn matrix over every
-//! SystemKind × EccChoice, fault-plan realization through the functional
-//! stack, resurrection accounting, and a two-endurance oracle sample.
+//! SystemKind × EccChoice plus a 4-byte window grid, fault-plan
+//! realization through the functional stack, resurrection accounting, and
+//! a two-endurance oracle sample.
 
 use collab_pcm::core::verify::{
     churn_lines, churn_memory, run_all, run_oracle, ChurnData, OracleConfig, VerifyConfig,
@@ -27,8 +28,8 @@ fn churn_matrix_is_green() {
     let report = run_all(&cfg);
     assert_eq!(
         report.entries.len(),
-        23,
-        "4 systems x 5 ECC schemes + 3 wear schemes"
+        24,
+        "4 systems x 5 ECC schemes + the step-4 grid + 3 wear schemes"
     );
     assert!(
         report.passed(),
@@ -98,17 +99,20 @@ fn resurrection_accounting_by_system() {
 }
 
 /// The differential oracle sample: one sliding and one non-sliding system
-/// at both verification endurance settings, non-default ECC included.
+/// at both verification endurance settings, non-default ECC and a coarse
+/// window grid included.
 #[test]
 fn oracle_sample_two_endurance_settings() {
     for mean in [250.0, 400.0] {
-        for (kind, ecc) in [
-            (SystemKind::CompWF, EccChoice::Ecp6),
-            (SystemKind::Baseline, EccChoice::Safer32),
+        for (kind, ecc, step) in [
+            (SystemKind::CompWF, EccChoice::Ecp6, 1),
+            (SystemKind::Baseline, EccChoice::Safer32, 1),
+            (SystemKind::CompWF, EccChoice::Ecp6, 4),
         ] {
             let sys = SystemConfig::new(kind)
                 .with_endurance_mean(mean)
-                .with_ecc(ecc);
+                .with_ecc(ecc)
+                .with_window_step(step);
             let report = run_oracle(&OracleConfig::new(sys, SpecApp::Milc, 77));
             assert!(report.passed(), "oracle mismatch:\n{}", report.describe());
         }
