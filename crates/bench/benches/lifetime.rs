@@ -4,13 +4,12 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use pcm_compress::compress_best;
 use pcm_core::lifetime::{simulate_line, LineSimConfig};
-use pcm_core::line::{EccEngine, ManagedLine, Payload};
+use pcm_core::line::{ManagedLine, Payload};
 use pcm_core::{EccChoice, SystemConfig, SystemKind};
 use pcm_trace::{BlockStream, SpecApp};
 use std::hint::black_box;
 
 fn bench_managed_line_write(c: &mut Criterion) {
-    let engine = EccEngine::new(EccChoice::Ecp6);
     let mut line = ManagedLine::with_endurance(vec![u32::MAX; 512]);
     let mut stream = BlockStream::new(SpecApp::Milc.profile(), 3);
     c.bench_function("line/write_compressed", |b| {
@@ -18,7 +17,7 @@ fn bench_managed_line_write(c: &mut Criterion) {
             let data = stream.next_data();
             let cw = compress_best(&data);
             line.write(
-                &engine,
+                EccChoice::Ecp6,
                 Payload {
                     method: cw.method(),
                     bytes: cw.bytes(),

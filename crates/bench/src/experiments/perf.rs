@@ -4,7 +4,7 @@ use crate::cli::Options;
 use crate::registry::Experiment;
 use crate::report::{Column, Report, Table, Value};
 use pcm_compress::compress_best;
-use pcm_core::line::{EccEngine, ManagedLine, Payload};
+use pcm_core::line::{ManagedLine, Payload};
 use pcm_core::perf::{perf_overhead, PerfConfig, PerfReport};
 use pcm_core::{EccChoice, SystemConfig, SystemKind};
 use pcm_trace::{BlockStream, SpecApp};
@@ -122,7 +122,6 @@ impl Experiment for MetadataRates {
             ],
         );
         for app in &opts.apps {
-            let engine = EccEngine::new(EccChoice::Ecp6);
             let mut line = ManagedLine::with_endurance(vec![u32::MAX; 512]);
             let mut leveler = IntraLineLeveler::new(cfg.rotation_period as u32, 1);
             let mut stream = BlockStream::new(app.profile(), child_seed(opts.seed, *app as u64));
@@ -130,7 +129,7 @@ impl Experiment for MetadataRates {
                 let data = stream.next_data();
                 let c = compress_best(&data);
                 line.write(
-                    &engine,
+                    EccChoice::Ecp6,
                     Payload {
                         method: c.method(),
                         bytes: c.bytes(),

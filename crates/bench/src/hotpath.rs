@@ -10,13 +10,11 @@
 //!    differential-write and Flip-N-Write encoding,
 //! 3. `simulate_line` throughput (simulated demand writes/sec) per
 //!    `SystemKind` × `EccChoice`, plus one campaign pool job — a full
-//!    64-seed `simulate_line_batch` call (`campaign/lockstep`; the id is
-//!    older than the per-seed loop and stays so the tracked checksum and
-//!    throughput floor keep applying),
+//!    64-seed `simulate_line_batch` call (`campaign/batch`),
 //! 4. `pcm_util::Pool` scheduling (threads ∈ {1, 2, 4, 8}, balanced vs.
 //!    skewed job cost),
 //! 5. the serve engine's per-bank write path — a scripted traffic replay
-//!    through `Engine::run_script` (`serve/bank_batch`),
+//!    through `Engine::run_script` (`serve/script`),
 //! 6. end-to-end campaign wall-clock.
 //!
 //! Every benchmark also folds its outputs into a seed-stable checksum, so
@@ -442,7 +440,7 @@ pub fn run(opts: &HotpathOptions) -> HotpathReport {
         let checksum = recs.iter().fold(0u64, |h, r| mix(h, record_checksum(r)));
         let mut g = c.benchmark_group("campaign");
         g.throughput(Throughput::Elements(demand));
-        g.bench_function("lockstep", |b| {
+        g.bench_function("batch", |b| {
             b.iter(|| {
                 simulate_line_batch(&cfg, &seeds, &mut scratch)
                     .iter()
@@ -523,7 +521,7 @@ pub fn run(opts: &HotpathOptions) -> HotpathReport {
         checksum = mix_f64(checksum, snap.compressed_fraction);
         let mut g = c.benchmark_group("serve");
         g.throughput(Throughput::Elements(script.len() as u64));
-        g.bench_function("bank_batch", |b| {
+        g.bench_function("script", |b| {
             b.iter(|| {
                 run_serve()
                     .wear_digests()

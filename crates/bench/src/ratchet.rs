@@ -12,7 +12,7 @@
 //! Only the kernel-shaped groups are ratcheted ([`RATCHET_PREFIXES`]):
 //! `scheduler/*` and `compress_best/*` wobble with container load and the
 //! campaign wall-clock entries are not micro-benchmarks. The
-//! `campaign/lockstep` and `serve/bank_batch` micro-benchmarks *are*
+//! `campaign/batch` and `serve/script` micro-benchmarks *are*
 //! ratcheted — they pin one campaign pool job and the serve engine's
 //! per-bank write path. The floor factor is deliberately
 //! loose — the gate runs on shared, noisy machines — so it catches

@@ -1,87 +1,24 @@
-//! Bit-granular writer/reader used by the FPC codec.
+//! Bit-granular writer/reader used by the FPC and FVC codecs.
 
-/// Appends values of arbitrary bit width (≤ 64) to a byte buffer,
-/// LSB-first within each byte.
+/// Appends values of arbitrary bit width (≤ 64) to a caller-provided byte
+/// buffer, LSB-first within each byte. No allocation: the FPC hot path
+/// reuses one stack buffer per write.
 ///
 /// # Examples
 ///
 /// ```
-/// use pcm_compress::bits::{BitReader, BitWriter};
+/// use pcm_compress::bits::{BitReader, FixedBitWriter};
 ///
-/// let mut w = BitWriter::new();
-/// w.push(0b101, 3);
-/// w.push(0xFF, 8);
-/// let bytes = w.into_bytes();
+/// let mut buf = [0u8; 2];
+/// let mut w = FixedBitWriter::new(&mut buf);
+/// w.put(0b101, 3);
+/// w.put(0xFF, 8);
+/// assert_eq!(w.bit_len(), 11);
 ///
-/// let mut r = BitReader::new(&bytes);
+/// let mut r = BitReader::new(&buf);
 /// assert_eq!(r.pull(3).unwrap(), 0b101);
 /// assert_eq!(r.pull(8).unwrap(), 0xFF);
 /// ```
-#[derive(Debug, Clone, Default)]
-pub struct BitWriter {
-    bytes: Vec<u8>,
-    /// Number of valid bits in the last byte (0 means the last byte is full
-    /// or the buffer is empty).
-    partial: u32,
-}
-
-impl BitWriter {
-    /// Creates an empty writer.
-    pub fn new() -> Self {
-        BitWriter::default()
-    }
-
-    /// Appends the low `width` bits of `value`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `width` is 0 or greater than 64, or if `value` has bits set
-    /// above `width`.
-    pub fn push(&mut self, value: u64, width: u32) {
-        assert!(
-            (1..=64).contains(&width),
-            "width must be 1..=64, got {width}"
-        );
-        assert!(
-            width == 64 || value >> width == 0,
-            "value {value:#x} wider than {width} bits"
-        );
-        let mut remaining = width;
-        let mut v = value;
-        while remaining > 0 {
-            if self.partial == 0 {
-                self.bytes.push(0);
-            }
-            let free = 8 - self.partial;
-            let take = free.min(remaining);
-            let chunk = (v & ((1u64 << take) - 1)) as u8;
-            let last = self.bytes.last_mut().expect("byte pushed above");
-            *last |= chunk << self.partial;
-            self.partial = (self.partial + take) % 8;
-            v >>= take;
-            remaining -= take;
-        }
-    }
-
-    /// Total number of bits written so far.
-    pub fn bit_len(&self) -> usize {
-        if self.partial == 0 {
-            self.bytes.len() * 8
-        } else {
-            (self.bytes.len() - 1) * 8 + self.partial as usize
-        }
-    }
-
-    /// Finishes writing and returns the packed bytes (final partial byte is
-    /// zero-padded).
-    pub fn into_bytes(self) -> Vec<u8> {
-        self.bytes
-    }
-}
-
-/// A [`BitWriter`] over a caller-provided byte buffer: identical bit
-/// packing, no allocation. The FPC hot path reuses one stack buffer per
-/// write instead of growing a fresh `Vec`.
 #[derive(Debug)]
 pub struct FixedBitWriter<'a> {
     bytes: &'a mut [u8],
@@ -157,7 +94,7 @@ impl std::fmt::Display for OutOfBits {
 impl std::error::Error for OutOfBits {}
 
 /// Reads values of arbitrary bit width (≤ 64) from a byte buffer written by
-/// [`BitWriter`].
+/// [`FixedBitWriter`].
 #[derive(Debug, Clone)]
 pub struct BitReader<'a> {
     bytes: &'a [u8],
@@ -219,13 +156,13 @@ mod tests {
 
     #[test]
     fn single_bits() {
-        let mut w = BitWriter::new();
+        let mut buf = [0u8; 2];
+        let mut w = FixedBitWriter::new(&mut buf);
         for i in 0..16 {
-            w.push((i % 2) as u64, 1);
+            w.put((i % 2) as u64, 1);
         }
         assert_eq!(w.bit_len(), 16);
-        let bytes = w.into_bytes();
-        let mut r = BitReader::new(&bytes);
+        let mut r = BitReader::new(&buf);
         for i in 0..16 {
             assert_eq!(r.pull(1).unwrap(), (i % 2) as u64);
         }
@@ -241,35 +178,37 @@ mod tests {
             (u64::MAX, 64),
             (0, 7),
             (0x3FFFF, 18),
+            (1, 1),
         ];
-        let mut w = BitWriter::new();
+        let mut buf = [0u8; 32];
+        let mut w = FixedBitWriter::new(&mut buf);
         for &(v, width) in values {
-            w.push(v, width);
+            w.put(v, width);
         }
+        let bit_len = w.bit_len();
         let total: u32 = values.iter().map(|&(_, w)| w).sum();
-        assert_eq!(w.bit_len(), total as usize);
-        let bytes = w.into_bytes();
-        let mut r = BitReader::new(&bytes);
+        assert_eq!(bit_len, total as usize);
+        assert_eq!(bit_len, 114); // packed into 15 bytes
+        let bytes = &buf[..bit_len.div_ceil(8)];
+        assert_eq!(bytes.len(), 15);
+        let mut r = BitReader::new(bytes);
         for &(v, width) in values {
             assert_eq!(r.pull(width).unwrap(), v, "width {width}");
         }
+        assert_eq!(r.remaining(), 6, "the last byte's zero padding");
     }
 
     #[test]
     fn crossing_byte_boundaries() {
-        let mut w = BitWriter::new();
-        w.push(0b11, 2);
-        w.push(0x1FF, 9); // crosses a byte boundary
-        let bytes = w.into_bytes();
-        let mut r = BitReader::new(&bytes);
+        let mut buf = [0xFFu8; 2];
+        let mut w = FixedBitWriter::new(&mut buf);
+        w.put(0b11, 2);
+        w.put(0x1FF, 9); // crosses a byte boundary
+        assert_eq!(w.bit_len(), 11);
+        let mut r = BitReader::new(&buf);
         assert_eq!(r.pull(2).unwrap(), 0b11);
         assert_eq!(r.pull(9).unwrap(), 0x1FF);
-    }
-
-    #[test]
-    #[should_panic(expected = "wider than")]
-    fn push_rejects_overwide_value() {
-        BitWriter::new().push(0b100, 2);
+        assert_eq!(r.pull(5).unwrap(), 0, "stale buffer bits are cleared");
     }
 
     #[test]
@@ -279,32 +218,6 @@ mod tests {
         assert_eq!(r.pull(8).unwrap(), 0xAA);
         assert_eq!(r.pull(1), Err(OutOfBits));
         assert_eq!(OutOfBits.to_string(), "bit stream exhausted");
-    }
-
-    #[test]
-    fn fixed_writer_matches_vec_writer() {
-        let values: &[(u64, u32)] = &[
-            (0b101, 3),
-            (0xDEAD, 16),
-            (0x1F, 5),
-            (u64::MAX, 64),
-            (0, 7),
-            (0x3FFFF, 18),
-            (1, 1),
-        ];
-        let mut w = BitWriter::new();
-        let mut buf = [0u8; 32];
-        let mut fw = FixedBitWriter::new(&mut buf);
-        for &(v, width) in values {
-            w.push(v, width);
-            fw.put(v, width);
-            assert_eq!(w.bit_len(), fw.bit_len());
-        }
-        let bit_len = fw.bit_len();
-        let bytes = w.into_bytes();
-        assert_eq!(&buf[..bytes.len()], &bytes[..]);
-        assert_eq!(bit_len, 114); // packed into 15 bytes
-        assert_eq!(bytes.len(), bit_len.div_ceil(8));
     }
 
     #[test]

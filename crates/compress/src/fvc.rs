@@ -13,7 +13,7 @@
 //! persisted and versioned with the data), which is exactly why the paper
 //! prefers stateless codecs.
 
-use crate::bits::{BitReader, BitWriter};
+use crate::bits::{BitReader, FixedBitWriter};
 use pcm_util::Line512;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -121,25 +121,27 @@ impl FvcDictionary {
     /// Compresses a line into an [`FvcCompressed`]: per 32-bit word, a 1-bit
     /// hit flag then either the dictionary index or the 32-bit literal.
     pub fn compress(&self, line: &Line512) -> FvcCompressed {
-        let mut w = BitWriter::new();
+        // At most 16 literal misses of 1 + 32 bits.
+        let mut buf = [0u8; 66];
+        let mut w = FixedBitWriter::new(&mut buf);
         for chunk in line.to_bytes().chunks_exact(4) {
             let v = u32::from_le_bytes(chunk.try_into().expect("4 bytes"));
             match self.values.iter().position(|&d| d == v) {
                 Some(idx) => {
-                    w.push(1, 1);
+                    w.put(1, 1);
                     if self.index_bits > 0 {
-                        w.push(idx as u64, self.index_bits);
+                        w.put(idx as u64, self.index_bits);
                     }
                 }
                 None => {
-                    w.push(0, 1);
-                    w.push(v as u64, 32);
+                    w.put(0, 1);
+                    w.put(v as u64, 32);
                 }
             }
         }
         let bit_len = w.bit_len();
         FvcCompressed {
-            data: w.into_bytes(),
+            data: buf[..bit_len.div_ceil(8)].to_vec(),
             bit_len,
         }
     }

@@ -13,7 +13,7 @@
 //! dead line, demand or migration.
 
 use crate::controller::{MemoryStats, WriteError, WriteReport};
-use crate::line::{EccEngine, LineWriteReport, ManagedLine};
+use crate::line::{LineWriteReport, ManagedLine};
 use crate::payload::{revivable, store, HostMeta, PayloadBufs};
 use crate::system::SystemConfig;
 use pcm_compress::{decompress, CompressedWrite};
@@ -43,7 +43,6 @@ use rand::Rng;
 #[derive(Debug)]
 pub struct BankCtl {
     cfg: SystemConfig,
-    engine: EccEngine,
     lines: u64,
     phys: Vec<ManagedLine>,
     scheme: Box<dyn WearScheme>,
@@ -86,7 +85,6 @@ impl BankCtl {
         let scheme = cfg.wear.build(lines, cfg.start_gap_psi, rng);
         BankCtl {
             cfg,
-            engine: EccEngine::new(cfg.ecc),
             lines,
             phys,
             scheme,
@@ -189,7 +187,7 @@ impl BankCtl {
                 faults: line.faults().count(),
             });
         }
-        let (method, bytes) = line.read(&self.engine).expect("valid line reads");
+        let (method, bytes) = line.read(self.cfg.ecc).expect("valid line reads");
         let c =
             CompressedWrite::from_parts(method, bytes).expect("stored payload is self-consistent");
         Ok(decompress(&c))
@@ -252,7 +250,7 @@ impl BankCtl {
         // heap-allocates.
         let mut bufs = PayloadBufs::new();
         if line.is_dead() {
-            if !revivable(line, &self.engine, &self.cfg, &data, rotation, &mut bufs) {
+            if !revivable(line, &self.cfg, &data, rotation, &mut bufs) {
                 return Err(WriteError::LineDead {
                     faults: line.faults().count(),
                 });
@@ -260,15 +258,7 @@ impl BankCtl {
             line.revive();
             self.stats.resurrections += 1;
         }
-        match store(
-            line,
-            &self.engine,
-            &self.cfg,
-            self.meta[i],
-            &data,
-            rotation,
-            &mut bufs,
-        ) {
+        match store(line, &self.cfg, self.meta[i], &data, rotation, &mut bufs) {
             Ok(s) => {
                 let compressed = s.method.is_compressed();
                 self.shadow[i] = Some(data);

@@ -1,6 +1,6 @@
 //! The accelerated per-line lifetime simulation.
 
-use crate::line::{EccEngine, ManagedLine};
+use crate::line::ManagedLine;
 use crate::payload::{revivable, store, HostMeta, PayloadBufs};
 use crate::system::SystemConfig;
 use pcm_trace::{BlockStream, WorkloadProfile};
@@ -100,8 +100,6 @@ pub fn simulate_line(cfg: &LineSimConfig, seed: u64) -> LineRecord {
 // pcm-audit: root(hotpath-alloc) — per-line inner loop of the campaign runner; scratch buffers exist so this chain never allocates
 pub fn simulate_line_with(cfg: &LineSimConfig, seed: u64, scratch: &mut LineScratch) -> LineRecord {
     let sys = &cfg.system;
-    // pcm-audit: allow(hotpath-alloc) — one-time engine construction per line, outside the write loop
-    let engine = EccEngine::new(sys.ecc);
     let mut rng = seeded_rng(child_seed(seed, 0));
     // pcm-audit: allow(hotpath-alloc) — one-time per-line endurance sampling, outside the write loop
     let mut line = ManagedLine::sample_with_tech(&sys.endurance, sys.tech, &mut rng);
@@ -155,7 +153,6 @@ pub fn simulate_line_with(cfg: &LineSimConfig, seed: u64, scratch: &mut LineScra
             // Resurrection check against the incoming block.
             if revivable(
                 &mut line,
-                &engine,
                 sys,
                 &block.current(),
                 rotation,
@@ -191,15 +188,7 @@ pub fn simulate_line_with(cfg: &LineSimConfig, seed: u64, scratch: &mut LineScra
         for _ in 0..k {
             let data = block.next_data();
             done += 1;
-            match store(
-                &mut line,
-                &engine,
-                sys,
-                meta,
-                &data,
-                rotation,
-                &mut scratch.bufs,
-            ) {
+            match store(&mut line, sys, meta, &data, rotation, &mut scratch.bufs) {
                 Ok(s) => {
                     flip_sum += s.report.flips as u64;
                     sampled += 1;

@@ -4,10 +4,11 @@
 //! hosts blocks of one workload. Real consolidated machines interleave
 //! programs; under Start-Gap any physical line then hosts blocks from
 //! *different* programs over its life. This module extends the campaign to
-//! weighted workload mixes: each relocation draws the incoming block's
-//! profile from the mix, so a line alternates between (say) milc's tiny
-//! payloads and lbm's incompressible ones — stressing exactly the
-//! dead-block-resurrection machinery of §III-A.3.
+//! weighted workload mixes, approximately: each simulated line draws one
+//! profile from the mix and keeps it for its whole life, every relocation
+//! bringing a fresh block of that profile. With many lines the population
+//! of lines matches the mix, but no single line alternates between (say)
+//! milc's tiny payloads and lbm's incompressible ones.
 
 use super::campaign::{summarize, LifetimeResult};
 use super::linesim::{simulate_line, LineRecord, LineSimConfig};
@@ -101,16 +102,15 @@ pub fn run_mixed_campaign(
 ) -> LifetimeResult {
     assert!(lines > 0, "need at least one line");
     let mut rng = seeded_rng(child_seed(seed, 0x33));
+    let mut cfg = LineSimConfig::new(system, mix.entries[0].0.clone());
+    cfg.sample_writes = sample_writes;
     let records: Vec<LineRecord> = (0..lines)
         .map(|i| {
-            let profile = mix.sample(&mut rng).clone();
-            let mut cfg = LineSimConfig::new(system, profile);
-            cfg.sample_writes = sample_writes;
+            cfg.profile = mix.sample(&mut rng).clone();
             simulate_line(&cfg, child_seed(seed, i as u64))
         })
         .collect();
-    let horizon = (system.endurance.mean() * 120.0) as u64;
-    summarize(&records, horizon)
+    summarize(&records, cfg.max_writes)
 }
 
 #[cfg(test)]

@@ -8,134 +8,15 @@
 //! re-encodes (or slides the window) until the payload is stored — or the
 //! line is declared dead.
 
-use crate::registry;
+use crate::registry::{self, EccCode};
 use crate::system::EccChoice;
 use crate::window;
 use pcm_compress::Method;
 use pcm_device::{CellTech, EnduranceModel, LineWear};
-use pcm_ecc::aegis::AegisCode;
-use pcm_ecc::ecp::EcpCode;
-use pcm_ecc::safer::SaferCode;
-use pcm_ecc::secded::SecdedCode;
-use pcm_ecc::{Aegis, Coset, Ecp, HardErrorScheme, Safer, Secded};
 use pcm_util::fault::FaultMap;
 use pcm_util::{Line512, DATA_BITS, DATA_BYTES};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-
-/// The instantiated hard-error scheme with its encode/decode machinery.
-///
-/// Table-heavy schemes (SAFER-32, Aegis 17×31, the coset masks) come from
-/// the process-wide [`registry`] so every engine shares one instance —
-/// `simulate_line` constructs an engine per call, which once made table
-/// construction dominate short-lived lines.
-#[derive(Debug, Clone)]
-pub struct EccEngine {
-    choice: EccChoice,
-    ecp: Ecp,
-    safer: &'static Safer,
-    aegis: &'static Aegis,
-    secded: Secded,
-    coset: &'static Coset,
-}
-
-/// Per-line ECC correction state from the most recent write.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub(crate) enum EccCode {
-    /// No write yet.
-    None,
-    /// ECP pointers + replacement bits.
-    Ecp(EcpCode),
-    /// SAFER partition + inversions.
-    Safer(SaferCode),
-    /// Aegis partition + inversions.
-    Aegis(AegisCode),
-    /// SECDED check bytes.
-    Secded(SecdedCode),
-    /// Coset transform tag + ECP pointers for the transformed payload.
-    Coset(u16, EcpCode),
-}
-
-impl EccEngine {
-    /// Builds the engine for a configuration choice.
-    pub fn new(choice: EccChoice) -> Self {
-        let ecp = match choice {
-            EccChoice::EcpN(n) => Ecp::new(n as u32),
-            _ => Ecp::new(6),
-        };
-        EccEngine {
-            choice,
-            ecp,
-            safer: registry::shared_safer32(),
-            aegis: registry::shared_aegis_17x31(),
-            secded: Secded::new(),
-            coset: registry::shared_coset(),
-        }
-    }
-
-    /// The underlying scheme as a trait object (for window searches).
-    pub fn scheme(&self) -> &dyn HardErrorScheme {
-        match self.choice {
-            EccChoice::Ecp6 | EccChoice::EcpN(_) => &self.ecp,
-            EccChoice::Safer32 => self.safer,
-            EccChoice::Aegis17x31 => self.aegis,
-            EccChoice::Secded => &self.secded,
-            EccChoice::Coset => self.coset,
-        }
-    }
-
-    /// Encodes `target` around the given (window-restricted) faults.
-    ///
-    /// Payload-transforming schemes also see the currently `stored` line
-    /// and the window mask, so they can pick the cheapest equivalent
-    /// vector; plain correction schemes ignore both.
-    fn encode(
-        &self,
-        target: &Line512,
-        stored: &Line512,
-        window_mask: &Line512,
-        faults: &FaultMap,
-    ) -> Result<(Line512, EccCode), pcm_ecc::EccError> {
-        match self.choice {
-            EccChoice::Ecp6 | EccChoice::EcpN(_) => self
-                .ecp
-                .write(target, faults)
-                .map(|(s, c)| (s, EccCode::Ecp(c))),
-            EccChoice::Safer32 => self
-                .safer
-                .write(target, faults)
-                .map(|(s, c)| (s, EccCode::Safer(c))),
-            EccChoice::Aegis17x31 => self
-                .aegis
-                .write(target, faults)
-                .map(|(s, c)| (s, EccCode::Aegis(c))),
-            EccChoice::Secded => self
-                .secded
-                .write(target, faults)
-                .map(|(s, c)| (s, EccCode::Secded(c))),
-            EccChoice::Coset => {
-                let (transformed, tag) =
-                    self.coset
-                        .encode_payload(target, stored, window_mask, faults);
-                self.coset
-                    .write(&transformed, faults)
-                    .map(|(s, c)| (s, EccCode::Coset(tag, c)))
-            }
-        }
-    }
-
-    /// Decodes a stored line with its correction state.
-    fn decode(&self, stored: &Line512, code: &EccCode) -> Line512 {
-        match code {
-            EccCode::None => *stored,
-            EccCode::Ecp(c) => self.ecp.read(stored, c),
-            EccCode::Safer(c) => self.safer.read(stored, c),
-            EccCode::Aegis(c) => self.aegis.read(stored, c),
-            EccCode::Secded(c) => self.secded.read(stored, c),
-            EccCode::Coset(tag, c) => self.coset.decode_payload(&self.coset.read(stored, c), *tag),
-        }
-    }
-}
 
 /// The payload handed to a line write: method plus window bytes.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -361,10 +242,10 @@ impl ManagedLine {
     }
 
     /// The offset at which [`write`](Self::write) would place a payload
-    /// of `len` bytes, or `None` when the line cannot host that size (the
-    /// dead-block resurrection check asks this). Each window probe is
-    /// answered from the line's placement memo when this fault set has
-    /// met it before.
+    /// of `len` bytes under the hard-error scheme `ecc`, or `None` when
+    /// the line cannot host that size (the dead-block resurrection check
+    /// asks this). Each window probe is answered from the line's placement
+    /// memo when this fault set has met it before.
     ///
     /// # Panics
     ///
@@ -372,19 +253,20 @@ impl ManagedLine {
     /// power of two dividing 64.
     pub fn can_host(
         &mut self,
-        engine: &EccEngine,
+        ecc: EccChoice,
         len: usize,
         preferred: usize,
         slide: bool,
         step: usize,
     ) -> Option<usize> {
         let faults = self.wear.faults();
-        let memo = self.placements.keyed(engine.choice, faults.count());
+        let memo = self.placements.keyed(ecc, faults.count());
         window::first_fit(len, preferred, slide, step, |offset| {
             memo.fits(len, offset, || {
                 let mut buf = [0u16; DATA_BITS];
-                let window_faults = window::faults_in_buf(faults, offset, len, &mut buf);
-                engine.scheme().can_store(window_faults)
+                let window_faults =
+                    (faults.positions() & window::window_mask(offset, len)).ones_into(&mut buf);
+                registry::ecc_scheme(ecc).can_store(window_faults)
             })
         })
     }
@@ -396,9 +278,10 @@ impl ManagedLine {
         self.valid = false;
     }
 
-    /// Writes a payload at (or near) `preferred` window offset, placing
-    /// the window only at multiples of `step` bytes (`preferred` is
-    /// rounded down to that grid; see [`window::find_offset`]).
+    /// Writes a payload at (or near) `preferred` window offset under the
+    /// hard-error scheme `ecc`, placing the window only at multiples of
+    /// `step` bytes (`preferred` is rounded down to that grid; see
+    /// [`window::find_offset`]).
     ///
     /// `slide = true` enables the Comp+WF fault-dodging search; otherwise
     /// the payload must fit at the grid-rounded `preferred` exactly.
@@ -416,7 +299,7 @@ impl ManagedLine {
     /// 64`, or `step` is not a power of two dividing 64.
     pub fn write(
         &mut self,
-        engine: &EccEngine,
+        ecc: EccChoice,
         payload: Payload<'_>,
         preferred: usize,
         slide: bool,
@@ -435,7 +318,7 @@ impl ManagedLine {
         // one newly-stuck cell, so 512 iterations bound the loop.
         loop {
             report.attempts += 1;
-            let offset = match self.can_host(engine, len, preferred, slide, step) {
+            let offset = match self.can_host(ecc, len, preferred, slide, step) {
                 Some(o) => o,
                 None => {
                     self.dead = true;
@@ -448,25 +331,28 @@ impl ManagedLine {
             report.slid |= offset != preferred / step * step;
             report.offset = offset;
 
-            let target = window::place(&self.wear.stored(), offset, payload.bytes);
-            let window_faults = window::fault_map_in(self.faults(), offset, len);
             let stored_now = self.wear.stored();
+            let target = window::place(&stored_now, offset, payload.bytes);
             // Program only the window cells; everything outside keeps its
             // current physical value (don't-care, zero flips).
             let mask = window::window_mask(offset, len);
-            let (encoded, code) = match engine.encode(&target, &stored_now, &mask, &window_faults) {
-                Ok(v) => v,
-                // can_store passed but the data-dependent encode failed
-                // (cannot happen for the schemes here, guarded anyway).
-                Err(_) => {
-                    self.dead = true;
-                    self.valid = false;
-                    return Err(LineDead {
-                        faults: self.faults().count(),
-                    });
-                }
-            };
-            let stored_target = (encoded & mask) | (self.wear.stored() & !mask);
+            let window_faults = self.faults().masked(mask);
+            let (encoded, code) =
+                match registry::encode(ecc, &target, &stored_now, &mask, &window_faults) {
+                    Ok(v) => v,
+                    // can_store passed but the data-dependent encode failed
+                    // (cannot happen for the schemes here, as the registry's
+                    // `can_store_implies_lossless_encode` property checks;
+                    // guarded anyway).
+                    Err(_) => {
+                        self.dead = true;
+                        self.valid = false;
+                        return Err(LineDead {
+                            faults: self.faults().count(),
+                        });
+                    }
+                };
+            let stored_target = (encoded & mask) | (stored_now & !mask);
             let outcome = self.wear.write(&stored_target);
             report.flips += outcome.flips;
             report.flip_mask = report.flip_mask | outcome.flip_mask;
@@ -493,13 +379,13 @@ impl ManagedLine {
         }
     }
 
-    /// Reads back the stored payload (method + bytes), or `None` when the
-    /// line holds no valid data.
-    pub fn read(&self, engine: &EccEngine) -> Option<(Method, Vec<u8>)> {
+    /// Reads back the stored payload (method + bytes) through the scheme
+    /// `ecc` that wrote it, or `None` when the line holds no valid data.
+    pub fn read(&self, ecc: EccChoice) -> Option<(Method, Vec<u8>)> {
         if !self.is_valid() {
             return None;
         }
-        let corrected = engine.decode(&self.wear.stored(), &self.code);
+        let corrected = registry::decode(ecc, &self.wear.stored(), &self.code);
         Some((
             self.method,
             window::extract(&corrected, self.offset, self.size),
@@ -514,10 +400,6 @@ mod tests {
     use pcm_util::seeded_rng;
     use rand::RngExt;
 
-    fn engine() -> EccEngine {
-        EccEngine::new(EccChoice::Ecp6)
-    }
-
     fn payload_of(c: &CompressedWrite) -> Payload<'_> {
         Payload {
             method: c.method(),
@@ -528,15 +410,15 @@ mod tests {
     #[test]
     fn healthy_line_write_read_round_trip() {
         let mut rng = seeded_rng(111);
-        let e = engine();
+        let e = EccChoice::Ecp6;
         let mut line = ManagedLine::with_endurance(vec![u32::MAX; 512]);
         for offset in [0usize, 17, 60] {
             let data = Line512::random(&mut rng);
             let c = compress_best(&data);
-            let r = line.write(&e, payload_of(&c), offset, false, 1).unwrap();
+            let r = line.write(e, payload_of(&c), offset, false, 1).unwrap();
             assert_eq!(r.offset, offset);
             assert_eq!(r.attempts, 1);
-            let (method, bytes) = line.read(&e).unwrap();
+            let (method, bytes) = line.read(e).unwrap();
             let back = decompress(&CompressedWrite::from_parts(method, bytes).unwrap());
             assert_eq!(back, data);
         }
@@ -544,17 +426,17 @@ mod tests {
 
     #[test]
     fn compressed_write_only_touches_window() {
-        let e = engine();
+        let e = EccChoice::Ecp6;
         let mut line = ManagedLine::with_endurance(vec![u32::MAX; 512]);
         // First fill the line with ones (uncompressed write).
         let ones = Line512::ones();
         let c0 =
             CompressedWrite::from_parts(Method::Uncompressed, ones.to_bytes().to_vec()).unwrap();
-        line.write(&e, payload_of(&c0), 0, false, 1).unwrap();
+        line.write(e, payload_of(&c0), 0, false, 1).unwrap();
         // Now write a 1-byte zero payload at offset 5.
         let zeros = compress_best(&Line512::zero());
         assert_eq!(zeros.size(), 1);
-        let r = line.write(&e, payload_of(&zeros), 5, false, 1).unwrap();
+        let r = line.write(e, payload_of(&zeros), 5, false, 1).unwrap();
         assert_eq!(r.flips, 8, "only the window byte is programmed");
         // Cells outside the window still hold ones.
         assert_eq!(line.wear().stored().byte(4), 0xFF);
@@ -564,7 +446,7 @@ mod tests {
     #[test]
     fn write_survives_faults_within_capacity() {
         let mut rng = seeded_rng(112);
-        let e = engine();
+        let e = EccChoice::Ecp6;
         // Six cells with zero endurance die on first touch.
         let mut endurance = vec![u32::MAX; 512];
         for pos in [3usize, 50, 100, 200, 300, 400] {
@@ -574,8 +456,8 @@ mod tests {
         for _ in 0..16 {
             let data = Line512::random(&mut rng);
             let c = compress_best(&data);
-            line.write(&e, payload_of(&c), 0, false, 1).unwrap();
-            let (method, bytes) = line.read(&e).unwrap();
+            line.write(e, payload_of(&c), 0, false, 1).unwrap();
+            let (method, bytes) = line.read(e).unwrap();
             let back = decompress(&CompressedWrite::from_parts(method, bytes).unwrap());
             assert_eq!(back, data, "ECP must mask the stuck cells");
         }
@@ -584,7 +466,7 @@ mod tests {
 
     #[test]
     fn seven_clustered_faults_kill_non_sliding_line() {
-        let e = engine();
+        let e = EccChoice::Ecp6;
         let mut endurance = vec![u32::MAX; 512];
         for pos in 0..7 {
             endurance[pos] = 0;
@@ -593,15 +475,15 @@ mod tests {
         let data = Line512::ones();
         let c =
             CompressedWrite::from_parts(Method::Uncompressed, data.to_bytes().to_vec()).unwrap();
-        let err = line.write(&e, payload_of(&c), 0, false, 1).unwrap_err();
+        let err = line.write(e, payload_of(&c), 0, false, 1).unwrap_err();
         assert_eq!(err.faults, 7);
         assert!(line.is_dead());
-        assert!(line.read(&e).is_none());
+        assert!(line.read(e).is_none());
     }
 
     #[test]
     fn sliding_window_dodges_fault_cluster() {
-        let e = engine();
+        let e = EccChoice::Ecp6;
         let mut endurance = vec![u32::MAX; 512];
         for pos in 0..16 {
             endurance[pos] = 0; // all of bytes 0-1 die on first touch
@@ -616,8 +498,8 @@ mod tests {
         let data = Line512::from_bytes(&narrow);
         let c = compress_best(&data);
         assert!(c.size() <= 16);
-        let r = line.write(&e, payload_of(&c), 0, true, 1).unwrap();
-        let (method, bytes) = line.read(&e).unwrap();
+        let r = line.write(e, payload_of(&c), 0, true, 1).unwrap();
+        let (method, bytes) = line.read(e).unwrap();
         let back = decompress(&CompressedWrite::from_parts(method, bytes).unwrap());
         assert_eq!(back, data);
         // After the initial failures the window settles past the cluster.
@@ -627,7 +509,7 @@ mod tests {
 
     #[test]
     fn verify_retry_reencodes_midwrite_failures() {
-        let e = engine();
+        let e = EccChoice::Ecp6;
         // Cell 8 survives exactly one programming event, then sticks.
         let mut endurance = vec![u32::MAX; 512];
         endurance[8] = 1;
@@ -636,23 +518,23 @@ mod tests {
         let ones =
             CompressedWrite::from_parts(Method::Uncompressed, Line512::ones().to_bytes().to_vec())
                 .unwrap();
-        line.write(&e, payload_of(&ones), 0, false, 1).unwrap();
+        line.write(e, payload_of(&ones), 0, false, 1).unwrap();
         // Write all-zeros: cell 8's second programming fails; the write
         // must verify-retry and cover it with ECP.
         let zeros =
             CompressedWrite::from_parts(Method::Uncompressed, Line512::zero().to_bytes().to_vec())
                 .unwrap();
-        let r = line.write(&e, payload_of(&zeros), 0, false, 1).unwrap();
+        let r = line.write(e, payload_of(&zeros), 0, false, 1).unwrap();
         assert!(r.attempts >= 2, "mid-write failure forces a retry");
         assert_eq!(r.new_faults, 1);
-        let (method, bytes) = line.read(&e).unwrap();
+        let (method, bytes) = line.read(e).unwrap();
         let back = decompress(&CompressedWrite::from_parts(method, bytes).unwrap());
         assert_eq!(back, Line512::zero());
     }
 
     #[test]
     fn resurrection_flow() {
-        let e = engine();
+        let e = EccChoice::Ecp6;
         let mut endurance = vec![u32::MAX; 512];
         for pos in 0..60 {
             endurance[pos] = 0; // bytes 0..7 mostly dead
@@ -661,37 +543,38 @@ mod tests {
         let big =
             CompressedWrite::from_parts(Method::Uncompressed, Line512::ones().to_bytes().to_vec())
                 .unwrap();
-        assert!(line.write(&e, payload_of(&big), 0, true, 1).is_err());
+        assert!(line.write(e, payload_of(&big), 0, true, 1).is_err());
         assert!(line.is_dead());
         // A 1-byte payload fits in the healthy tail: resurrection check.
         let offset = line
-            .can_host(&e, 1, 0, true, 1)
+            .can_host(e, 1, 0, true, 1)
             .expect("healthy bytes remain");
         line.revive();
         let tiny = compress_best(&Line512::zero());
-        line.write(&e, payload_of(&tiny), offset, true, 1).unwrap();
+        line.write(e, payload_of(&tiny), offset, true, 1).unwrap();
         assert!(line.is_valid());
     }
 
     /// Checks every placement answer of `line` against a fresh search over
-    /// its current faults, through each of `engines` in turn.
-    fn assert_placements_match_search(line: &mut ManagedLine, engines: &[EccEngine]) {
+    /// its current faults, through each of `choices` in turn.
+    fn assert_placements_match_search(line: &mut ManagedLine, choices: &[EccChoice]) {
         let faults = *line.faults();
         let mut buf = [0u16; DATA_BITS];
-        for e in engines {
+        for &e in choices {
+            let scheme = registry::ecc_scheme(e);
             for step in [1, 2, 8] {
                 for len in 1..=DATA_BYTES {
                     for preferred in [0, 13, 42, 63] {
-                        let at = (e.choice, faults.count(), step, len, preferred);
-                        let slid = window::find_offset(e.scheme(), &faults, len, preferred, step);
+                        let at = (e, faults.count(), step, len, preferred);
+                        let slid = window::find_offset(scheme, &faults, len, preferred, step);
                         assert_eq!(
                             line.can_host(e, len, preferred, true, step),
                             slid,
                             "slide {at:?}"
                         );
                         let grid = preferred / step * step;
-                        let window = window::faults_in_buf(&faults, grid, len, &mut buf);
-                        let fixed = e.scheme().can_store(window).then_some(grid);
+                        let window = faults.masked(window::window_mask(grid, len)).positions();
+                        let fixed = scheme.can_store(window.ones_into(&mut buf)).then_some(grid);
                         assert_eq!(
                             line.can_host(e, len, preferred, false, step),
                             fixed,
@@ -717,63 +600,61 @@ mod tests {
             })
             .collect();
         let mut line = ManagedLine::with_endurance(endurance);
-        // Each check starts and ends on the writing engine's scheme: a memo
-        // that a write's new faults failed to clear would then answer the
-        // next check from the old fault set. The scheme changes in between
+        // Each check starts and ends on the writing scheme: a memo that a
+        // write's new faults failed to clear would then answer the next
+        // check from the old fault set. The scheme changes in between
         // catch a memo that ignores which scheme filled it.
-        let write_choice = EccChoice::Aegis17x31;
-        let engines: Vec<EccEngine> = [write_choice]
+        let writer = EccChoice::Aegis17x31;
+        let choices: Vec<EccChoice> = [writer]
             .into_iter()
             .chain(EccChoice::ALL)
-            .chain([EccChoice::EcpN(8), write_choice])
-            .map(EccEngine::new)
+            .chain([EccChoice::EcpN(8), writer])
             .collect();
-        let writer = EccEngine::new(write_choice);
         let mut grown = 0;
         for w in 0..16 {
-            assert_placements_match_search(&mut line, &engines);
+            assert_placements_match_search(&mut line, &choices);
             let before = line.faults().count();
             let bytes: Vec<u8> = (0..4 + (w * 5) % 24).map(|_| rng.random()).collect();
             let payload = Payload {
                 method: Method::Uncompressed,
                 bytes: &bytes,
             };
-            let _ = line.write(&writer, payload, (w * 11) % DATA_BYTES, true, 1);
+            let _ = line.write(writer, payload, (w * 11) % DATA_BYTES, true, 1);
             grown += (line.faults().count() > before) as u32;
         }
-        assert_placements_match_search(&mut line, &engines);
+        assert_placements_match_search(&mut line, &choices);
         assert!(grown >= 8, "only {grown} writes added faults");
     }
 
     #[test]
     #[should_panic(expected = "window must be 1..=64 bytes")]
     fn fixed_placement_rejects_empty_payload() {
-        ManagedLine::with_endurance(vec![u32::MAX; 512]).can_host(&engine(), 0, 5, false, 1);
+        ManagedLine::with_endurance(vec![u32::MAX; 512]).can_host(EccChoice::Ecp6, 0, 5, false, 1);
     }
 
     #[test]
     #[should_panic(expected = "preferred offset must be < 64")]
     fn fixed_placement_rejects_offset_past_line() {
-        ManagedLine::with_endurance(vec![u32::MAX; 512]).can_host(&engine(), 8, 64, false, 1);
+        ManagedLine::with_endurance(vec![u32::MAX; 512]).can_host(EccChoice::Ecp6, 8, 64, false, 1);
     }
 
     #[test]
     #[should_panic(expected = "power of two")]
     fn fixed_placement_rejects_off_grid_step() {
-        ManagedLine::with_endurance(vec![u32::MAX; 512]).can_host(&engine(), 8, 0, false, 3);
+        ManagedLine::with_endurance(vec![u32::MAX; 512]).can_host(EccChoice::Ecp6, 8, 0, false, 3);
     }
 
     #[test]
     #[should_panic(expected = "power of two")]
     fn fixed_placement_rejects_zero_step() {
-        ManagedLine::with_endurance(vec![u32::MAX; 512]).can_host(&engine(), 8, 0, false, 0);
+        ManagedLine::with_endurance(vec![u32::MAX; 512]).can_host(EccChoice::Ecp6, 8, 0, false, 0);
     }
 
     #[test]
     fn safer_and_aegis_engines_round_trip() {
         let mut rng = seeded_rng(113);
         for choice in [EccChoice::Safer32, EccChoice::Aegis17x31] {
-            let e = EccEngine::new(choice);
+            let e = choice;
             let mut endurance = vec![u32::MAX; 512];
             for pos in [9usize, 120, 333] {
                 endurance[pos] = 0;
@@ -782,8 +663,8 @@ mod tests {
             for _ in 0..8 {
                 let data = Line512::random(&mut rng);
                 let c = compress_best(&data);
-                line.write(&e, payload_of(&c), 0, true, 1).unwrap();
-                let (method, bytes) = line.read(&e).unwrap();
+                line.write(e, payload_of(&c), 0, true, 1).unwrap();
+                let (method, bytes) = line.read(e).unwrap();
                 let back = decompress(&CompressedWrite::from_parts(method, bytes).unwrap());
                 assert_eq!(back, data, "{choice:?}");
             }
@@ -793,7 +674,7 @@ mod tests {
     #[test]
     fn coset_engine_round_trips_through_stuck_cells() {
         let mut rng = seeded_rng(114);
-        let e = EccEngine::new(EccChoice::Coset);
+        let e = EccChoice::Coset;
         let mut endurance = vec![u32::MAX; 512];
         for pos in [9usize, 120, 333] {
             endurance[pos] = 0;
@@ -802,8 +683,8 @@ mod tests {
         for _ in 0..8 {
             let data = Line512::random(&mut rng);
             let c = compress_best(&data);
-            line.write(&e, payload_of(&c), 0, true, 1).unwrap();
-            let (method, bytes) = line.read(&e).unwrap();
+            line.write(e, payload_of(&c), 0, true, 1).unwrap();
+            let (method, bytes) = line.read(e).unwrap();
             let back = decompress(&CompressedWrite::from_parts(method, bytes).unwrap());
             assert_eq!(back, data);
         }
@@ -814,10 +695,10 @@ mod tests {
         // Alternating all-ones / all-zeros uncompressed writes: a plain
         // scheme flips all 512 cells every write; coset's tag-7 candidate
         // rewrites the line in place.
-        let plain = EccEngine::new(EccChoice::Ecp6);
-        let coset = EccEngine::new(EccChoice::Coset);
+        let plain = EccChoice::Ecp6;
+        let coset = EccChoice::Coset;
         let mut flips = [0u32; 2];
-        for (i, e) in [&plain, &coset].into_iter().enumerate() {
+        for (i, e) in [plain, coset].into_iter().enumerate() {
             let mut line = ManagedLine::with_endurance(vec![u32::MAX; 512]);
             for round in 0..8 {
                 let data = if round % 2 == 0 {

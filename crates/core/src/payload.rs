@@ -20,7 +20,7 @@
 //! [`PayloadBufs`] instead of per-write `Vec`s.
 
 use crate::heuristic::Decision;
-use crate::line::{EccEngine, LineDead, LineWriteReport, ManagedLine, Payload};
+use crate::line::{LineDead, LineWriteReport, ManagedLine, Payload};
 use crate::system::SystemConfig;
 use pcm_compress::{compress_best_into, Method};
 use pcm_util::{Line512, DATA_BYTES};
@@ -165,7 +165,6 @@ pub(crate) struct Stored<'a> {
 /// cannot be stored.
 pub(crate) fn store<'a>(
     line: &mut ManagedLine,
-    engine: &EccEngine,
     sys: &SystemConfig,
     meta: HostMeta,
     data: &Line512,
@@ -175,21 +174,21 @@ pub(crate) fn store<'a>(
     let (mut method, new_meta, fallback) = choose_payload(sys, meta, data, bufs);
     let bufs: &'a PayloadBufs = bufs;
     let preferred = preferred_offset(sys, rotation);
-    let (slide, step) = (sys.kind.slides(), sys.window_step);
+    let (ecc, slide, step) = (sys.ecc, sys.kind.slides(), sys.window_step);
     let mut bytes = bufs.chosen();
     if let Some(fb_method) = fallback {
         if line
-            .can_host(engine, bytes.len(), preferred, slide, step)
+            .can_host(ecc, bytes.len(), preferred, slide, step)
             .is_none()
             && line
-                .can_host(engine, bufs.fallback().len(), preferred, slide, step)
+                .can_host(ecc, bufs.fallback().len(), preferred, slide, step)
                 .is_some()
         {
             bytes = bufs.fallback();
             method = fb_method;
         }
     }
-    let report = line.write(engine, Payload { method, bytes }, preferred, slide, step)?;
+    let report = line.write(ecc, Payload { method, bytes }, preferred, slide, step)?;
     Ok(Stored {
         report,
         method,
@@ -209,7 +208,6 @@ pub(crate) fn store<'a>(
 /// not slide never revive.
 pub(crate) fn revivable(
     line: &mut ManagedLine,
-    engine: &EccEngine,
     sys: &SystemConfig,
     data: &Line512,
     rotation: usize,
@@ -225,7 +223,7 @@ pub(crate) fn revivable(
         bufs.chosen().len()
     };
     let preferred = preferred_offset(sys, rotation);
-    line.can_host(engine, len, preferred, true, sys.window_step)
+    line.can_host(sys.ecc, len, preferred, true, sys.window_step)
         .is_some()
 }
 
@@ -298,14 +296,13 @@ mod tests {
         }
         let data = Line512::from_bytes(&raw);
         let sys = SystemConfig::new(SystemKind::CompWF);
-        let engine = EccEngine::new(sys.ecc);
         let meta = HostMeta {
             sc: 3,
             last_size: 16,
         };
         let mut bufs = PayloadBufs::new();
         let mut healthy = ManagedLine::with_endurance(vec![u32::MAX; 512]);
-        let s = store(&mut healthy, &engine, &sys, meta, &data, 0, &mut bufs).expect("fits");
+        let s = store(&mut healthy, &sys, meta, &data, 0, &mut bufs).expect("fits");
         assert_eq!(
             (s.method, s.bytes.len()),
             (Method::Uncompressed, DATA_BYTES)
@@ -319,15 +316,15 @@ mod tests {
             })
             .collect();
         let mut worn = ManagedLine::with_faults(&faults);
-        let s = store(&mut worn, &engine, &sys, meta, &data, 0, &mut bufs).expect("fallback fits");
+        let s = store(&mut worn, &sys, meta, &data, 0, &mut bufs).expect("fallback fits");
         assert!(s.method.is_compressed() && s.report.slid);
         assert_eq!((s.bytes.len(), s.meta.sc, s.meta.last_size), (16, 3, 16));
         // The resurrection check answers on that smallest form; a raw-only
         // payload or a non-sliding system never revives.
-        assert!(revivable(&mut worn, &engine, &sys, &data, 0, &mut bufs));
+        assert!(revivable(&mut worn, &sys, &data, 0, &mut bufs));
         let random = Line512::random(&mut pcm_util::seeded_rng(32));
-        assert!(!revivable(&mut worn, &engine, &sys, &random, 0, &mut bufs));
+        assert!(!revivable(&mut worn, &sys, &random, 0, &mut bufs));
         let comp = SystemConfig::new(SystemKind::Comp);
-        assert!(!revivable(&mut worn, &engine, &comp, &data, 0, &mut bufs));
+        assert!(!revivable(&mut worn, &comp, &data, 0, &mut bufs));
     }
 }

@@ -1,11 +1,13 @@
-//! The scheme registry: shared instances and string-named stacks.
+//! The scheme registry: shared instances, the per-line encode/decode
+//! dispatch, and string-named stacks.
 //!
 //! Every ECC scheme the controller can use is constructed here exactly
 //! once per process and shared as a `&'static` reference — SAFER-32 and
 //! Aegis 17×31 precompute hundreds of group masks (≈0.6 ms), and the
 //! per-call `Box` the old `EccChoice::build` handed out made table
-//! construction dominate short-lived setups. [`ecc_scheme`] is the only
-//! construction path.
+//! construction dominate short-lived setups. This module is the only
+//! code that turns an [`EccChoice`] into a scheme: [`ecc_scheme`] for the
+//! window probes, `encode`/`decode` for the stored correction state.
 //!
 //! [`StackSpec`] names a complete controller stack — system kind, ECC
 //! scheme, wear scheme — from a single `kind/ecc/wear` string, so
@@ -13,7 +15,13 @@
 //! without a code change.
 
 use crate::system::{EccChoice, SystemConfig, SystemKind, WearChoice};
-use pcm_ecc::{Aegis, Coset, Ecp, HardErrorScheme, Safer, Secded};
+use pcm_ecc::aegis::AegisCode;
+use pcm_ecc::ecp::EcpCode;
+use pcm_ecc::safer::SaferCode;
+use pcm_ecc::secded::SecdedCode;
+use pcm_ecc::{Aegis, Coset, EccError, Ecp, HardErrorScheme, Safer, Secded};
+use pcm_util::fault::FaultMap;
+use pcm_util::Line512;
 use std::sync::OnceLock;
 
 /// The process-wide SAFER-32 instance (shared partition tables).
@@ -31,13 +39,13 @@ pub fn shared_aegis_17x31() -> &'static Aegis {
 }
 
 /// The process-wide restricted-coset scheme (shared mask table).
-pub(crate) fn shared_coset() -> &'static Coset {
+fn shared_coset() -> &'static Coset {
     static COSET: OnceLock<Coset> = OnceLock::new();
     COSET.get_or_init(Coset::new)
 }
 
 /// The process-wide SECDED instance.
-pub(crate) fn shared_secded() -> &'static Secded {
+fn shared_secded() -> &'static Secded {
     static SECDED: OnceLock<Secded> = OnceLock::new();
     SECDED.get_or_init(Secded::new)
 }
@@ -53,16 +61,98 @@ pub fn shared_ecp(entries: u32) -> &'static Ecp {
     ECPS[entries as usize].get_or_init(|| Ecp::new(entries))
 }
 
+/// The ECP instance of an ECP choice, ECP-6 for any other choice.
+fn ecp_of(choice: EccChoice) -> &'static Ecp {
+    match choice {
+        EccChoice::EcpN(n) => shared_ecp(n.into()),
+        _ => shared_ecp(6),
+    }
+}
+
 /// The shared instance behind an [`EccChoice`] — the single construction
 /// path for hard-error schemes.
 pub fn ecc_scheme(choice: EccChoice) -> &'static dyn HardErrorScheme {
     match choice {
-        EccChoice::Ecp6 => shared_ecp(6),
+        EccChoice::Ecp6 | EccChoice::EcpN(_) => ecp_of(choice),
         EccChoice::Safer32 => shared_safer32(),
         EccChoice::Aegis17x31 => shared_aegis_17x31(),
         EccChoice::Secded => shared_secded(),
         EccChoice::Coset => shared_coset(),
-        EccChoice::EcpN(n) => shared_ecp(n as u32),
+    }
+}
+
+/// Per-line ECC correction state from the most recent write.
+#[derive(Debug, Clone)]
+pub(crate) enum EccCode {
+    /// No write yet.
+    None,
+    /// ECP pointers + replacement bits.
+    Ecp(EcpCode),
+    /// SAFER partition + inversions.
+    Safer(SaferCode),
+    /// Aegis partition + inversions.
+    Aegis(AegisCode),
+    /// SECDED check bytes.
+    Secded(SecdedCode),
+    /// Coset transform tag + ECP pointers for the transformed payload.
+    Coset(u16, EcpCode),
+}
+
+/// Encodes `target` under `choice` around the window's stuck cells
+/// `faults`, returning the line to program and its correction state.
+///
+/// Payload-transforming schemes (coset coding) also see the currently
+/// `stored` line and the `window_mask`, so they can pick the cheapest
+/// equivalent vector; plain correction schemes ignore both.
+///
+/// # Errors
+///
+/// Returns the scheme's [`EccError`] when it cannot mask `faults` for
+/// this data. No scheme here does so when
+/// [`can_store`](HardErrorScheme::can_store) accepted the positions.
+pub(crate) fn encode(
+    choice: EccChoice,
+    target: &Line512,
+    stored: &Line512,
+    window_mask: &Line512,
+    faults: &FaultMap,
+) -> Result<(Line512, EccCode), EccError> {
+    match choice {
+        EccChoice::Ecp6 | EccChoice::EcpN(_) => ecp_of(choice)
+            .write(target, faults)
+            .map(|(s, c)| (s, EccCode::Ecp(c))),
+        EccChoice::Safer32 => shared_safer32()
+            .write(target, faults)
+            .map(|(s, c)| (s, EccCode::Safer(c))),
+        EccChoice::Aegis17x31 => shared_aegis_17x31()
+            .write(target, faults)
+            .map(|(s, c)| (s, EccCode::Aegis(c))),
+        EccChoice::Secded => shared_secded()
+            .write(target, faults)
+            .map(|(s, c)| (s, EccCode::Secded(c))),
+        EccChoice::Coset => {
+            let coset = shared_coset();
+            let (transformed, tag) = coset.encode_payload(target, stored, window_mask, faults);
+            coset
+                .write(&transformed, faults)
+                .map(|(s, c)| (s, EccCode::Coset(tag, c)))
+        }
+    }
+}
+
+/// Recovers the data [`encode`] stored under `choice` from the physical
+/// line and its correction state.
+pub(crate) fn decode(choice: EccChoice, stored: &Line512, code: &EccCode) -> Line512 {
+    match code {
+        EccCode::None => *stored,
+        EccCode::Ecp(c) => ecp_of(choice).read(stored, c),
+        EccCode::Safer(c) => shared_safer32().read(stored, c),
+        EccCode::Aegis(c) => shared_aegis_17x31().read(stored, c),
+        EccCode::Secded(c) => shared_secded().read(stored, c),
+        EccCode::Coset(tag, c) => {
+            let coset = shared_coset();
+            coset.decode_payload(&coset.read(stored, c), *tag)
+        }
     }
 }
 
@@ -156,15 +246,15 @@ pub fn parse_kind(s: &str) -> Result<SystemKind, String> {
 }
 
 /// Parses an ECC-scheme name (`ecp6`, `safer32`, `aegis`, `secded`,
-/// `coset`, `ecpN`).
+/// `coset`, `ecpN` for `N` in `1..=51`).
 pub fn parse_ecc(s: &str) -> Result<EccChoice, String> {
     let c = canon(s);
-    if let Some(n) = c.strip_prefix("ecp").and_then(|n| n.parse::<u8>().ok()) {
-        return Ok(if n == 6 {
-            EccChoice::Ecp6
-        } else {
-            EccChoice::EcpN(n)
-        });
+    if let Some(n) = c.strip_prefix("ecp").and_then(|n| n.parse::<u32>().ok()) {
+        return match n {
+            6 => Ok(EccChoice::Ecp6),
+            1..=51 => Ok(EccChoice::EcpN(n as u8)),
+            _ => Err(format!("ECP entries must be 1..=51, got '{s}'")),
+        };
     }
     match c.as_str() {
         "safer32" | "safer" => Ok(EccChoice::Safer32),
@@ -192,6 +282,78 @@ pub fn parse_wear(s: &str) -> Result<WearChoice, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::window::window_mask;
+    use pcm_util::fault::StuckAt;
+    use pcm_util::DATA_BITS;
+    use proptest::prelude::*;
+
+    fn arb_line() -> impl Strategy<Value = Line512> {
+        prop::array::uniform8(any::<u64>()).prop_map(Line512::from_words)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// `ManagedLine::write` treats an `encode` error after a passing
+        /// `can_store` as impossible. Check that for every registered
+        /// choice, up to three times its guarantee: whenever `can_store`
+        /// accepts a window's stuck cells, `encode` succeeds, programs
+        /// the stuck cells at their stuck values, and `decode` returns the
+        /// data on the window's bits. `can_store` also accepts every set
+        /// within the guarantee.
+        #[test]
+        fn can_store_implies_lossless_encode(
+            data in arb_line(),
+            stored in arb_line(),
+            offset in 0usize..64,
+            len in 1usize..=64,
+            cells in prop::collection::vec((any::<u16>(), any::<bool>()), 153),
+            picks in any::<u64>(),
+        ) {
+            let mask = window_mask(offset, len);
+            // The controller places the payload into the current line, so
+            // the target agrees with `stored` outside the window.
+            let target = (data & mask) | (stored & !mask);
+            let choices = EccChoice::ALL
+                .into_iter()
+                .chain([EccChoice::EcpN(1), EccChoice::EcpN(8), EccChoice::EcpN(51)]);
+            for choice in choices {
+                let scheme = ecc_scheme(choice);
+                let n = (picks % (3 * u64::from(scheme.guaranteed()) + 1)) as usize;
+                let faults: FaultMap = cells[..n]
+                    .iter()
+                    .map(|&(cell, value)| {
+                        let i = usize::from(cell) % (len * 8);
+                        let byte = (offset + i / 8) % 64;
+                        StuckAt { pos: (byte * 8 + i % 8) as u16, value }
+                    })
+                    .collect();
+                let mut buf = [0u16; DATA_BITS];
+                let storable = scheme.can_store(faults.positions().ones_into(&mut buf));
+                // `find_window` skips `can_store` on windows within the
+                // guarantee, so the guarantee must be exact.
+                prop_assert!(
+                    storable || faults.count() > scheme.guaranteed(),
+                    "{choice}: {} faults within its guarantee refused",
+                    faults.count()
+                );
+                if !storable {
+                    continue;
+                }
+                let encoded = encode(choice, &target, &stored, &mask, &faults);
+                prop_assert!(encoded.is_ok(), "{choice}: {} faults in ({offset}, {len})", faults.count());
+                let (encoded, code) = encoded.unwrap();
+                prop_assert_eq!(faults.apply(encoded), encoded, "{choice}: stuck cells");
+                let physical = (encoded & mask) | (stored & !mask);
+                prop_assert_eq!(
+                    decode(choice, &physical, &code) & mask,
+                    data & mask,
+                    "{choice}: {} faults in ({offset}, {len})",
+                    faults.count()
+                );
+            }
+        }
+    }
 
     #[test]
     fn shared_instances_are_shared() {
@@ -237,6 +399,17 @@ mod tests {
         assert_eq!(spec.wear, WearChoice::SecurityRefresh);
         assert!("comp/ecp6/bogus".parse::<StackSpec>().is_err());
         assert!("bogus".parse::<StackSpec>().is_err());
+    }
+
+    #[test]
+    fn parse_rejects_ecp_entry_counts_outside_1_to_51() {
+        for bad in ["ecp0", "ecp52", "ecp255"] {
+            let err = parse_ecc(bad).unwrap_err();
+            assert!(err.contains("1..=51"), "{bad}: {err}");
+        }
+        assert_eq!(parse_ecc("ecp1"), Ok(EccChoice::EcpN(1)));
+        assert_eq!(parse_ecc("ecp51"), Ok(EccChoice::EcpN(51)));
+        assert!("compwf/ecp0".parse::<StackSpec>().is_err());
     }
 
     #[test]

@@ -18,7 +18,6 @@
 
 use crate::heuristic::CompressionHeuristic;
 use pcm_device::{CellTech, EnduranceModel};
-use pcm_ecc::HardErrorScheme;
 use pcm_wear::{SecurityRefresh, StartGap, WearScheme, Wolfram};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -105,12 +104,6 @@ impl EccChoice {
         EccChoice::Secded,
         EccChoice::Coset,
     ];
-
-    /// The shared scheme instance (see [`crate::registry::ecc_scheme`]) —
-    /// table-heavy schemes like SAFER-32 are built once per process.
-    pub fn scheme(&self) -> &'static dyn HardErrorScheme {
-        crate::registry::ecc_scheme(*self)
-    }
 }
 
 impl std::fmt::Display for EccChoice {
@@ -343,16 +336,16 @@ mod tests {
 
     #[test]
     fn ecc_choices_build() {
+        use crate::registry::ecc_scheme;
         for ecc in [
             EccChoice::Ecp6,
             EccChoice::Safer32,
             EccChoice::Aegis17x31,
             EccChoice::Coset,
         ] {
-            let scheme = ecc.scheme();
-            assert!(scheme.guaranteed() >= 6);
+            assert!(ecc_scheme(ecc).guaranteed() >= 6);
         }
-        assert_eq!(EccChoice::Secded.scheme().guaranteed(), 1);
+        assert_eq!(ecc_scheme(EccChoice::Secded).guaranteed(), 1);
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //!    transitions) are checked at every step.
 
 use crate::controller::{PcmMemory, WriteError};
-use crate::line::{EccEngine, ManagedLine};
+use crate::line::ManagedLine;
 use crate::payload::{preferred_offset, store, HostMeta, PayloadBufs};
 use crate::system::SystemConfig;
 use pcm_compress::{decompress, CompressedWrite};
@@ -119,7 +119,6 @@ pub fn churn_lines(
     writes: u32,
     seed: u64,
 ) -> Result<ChurnStats, ChurnError> {
-    let engine = EccEngine::new(sys.ecc);
     let mut bufs = PayloadBufs::new();
     let mut stats = ChurnStats::default();
     for line_idx in 0..lines {
@@ -138,14 +137,14 @@ pub fn churn_lines(
                 ChurnData::Mixed => block.next_data(),
             };
             let rotation = (w as usize * 7) % DATA_BYTES;
-            let stored = match store(&mut line, &engine, sys, meta, &data, rotation, &mut bufs) {
+            let stored = match store(&mut line, sys, meta, &data, rotation, &mut bufs) {
                 Ok(s) => s,
                 Err(_) => {
                     // The plan may be dense enough to kill the line. The
                     // death must be honest: a dead line must refuse reads.
                     stats.deaths += 1;
                     churn_check!(
-                        line.read(&engine).is_none(),
+                        line.read(sys.ecc).is_none(),
                         "line {line_idx} ({}, {}): dead line still serves reads (seed {seed})",
                         sys.kind,
                         sys.ecc
@@ -157,7 +156,7 @@ pub fn churn_lines(
             meta = stored.meta;
 
             // Read-after-write: full decode + decompress round trip.
-            let (r_method, r_bytes) = line.read(&engine).ok_or_else(|| ChurnError {
+            let (r_method, r_bytes) = line.read(sys.ecc).ok_or_else(|| ChurnError {
                 message: format!(
                     "line {line_idx} write {w} ({}, {}): valid line returned no data (seed {seed})",
                     sys.kind, sys.ecc
@@ -206,7 +205,7 @@ pub fn churn_lines(
                 let step = sys.window_step;
                 let grid_preferred = preferred_offset(sys, rotation) / step * step;
                 churn_check!(
-                    line.can_host(&engine, bytes.len(), grid_preferred, false, step)
+                    line.can_host(sys.ecc, bytes.len(), grid_preferred, false, step)
                         .is_none(),
                     "line {line_idx} write {w} ({}, {}): slid from hostable offset \
                      {grid_preferred} to {} (seed {seed})",

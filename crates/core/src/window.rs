@@ -11,12 +11,6 @@ use pcm_ecc::HardErrorScheme;
 use pcm_util::fault::FaultMap;
 use pcm_util::{Line512, DATA_BITS, DATA_BYTES};
 
-/// Byte indices covered by a wrapped window.
-pub fn window_bytes(offset: usize, len: usize) -> impl Iterator<Item = usize> {
-    debug_assert!(offset < DATA_BYTES && len <= DATA_BYTES);
-    (0..len).map(move |i| (offset + i) % DATA_BYTES)
-}
-
 /// A bit mask of the cells covered by a wrapped window.
 ///
 /// # Panics
@@ -78,28 +72,6 @@ pub fn extract(line: &Line512, offset: usize, len: usize) -> Vec<u8> {
     out
 }
 
-/// The faulty cell positions that fall inside a wrapped window.
-pub fn faults_in(faults: &FaultMap, offset: usize, len: usize) -> Vec<u16> {
-    faults_in_buf(faults, offset, len, &mut [0; DATA_BITS]).to_vec()
-}
-
-/// [`faults_in`] into a fixed stack buffer, returning the filled prefix —
-/// the placement probe and the slide search sit on the per-write hot path,
-/// and a line has at most [`DATA_BITS`] stuck cells.
-pub fn faults_in_buf<'a>(
-    faults: &FaultMap,
-    offset: usize,
-    len: usize,
-    buf: &'a mut [u16; DATA_BITS],
-) -> &'a [u16] {
-    (faults.positions() & window_mask(offset, len)).ones_into(buf)
-}
-
-/// The sub-map of faults inside a wrapped window.
-pub fn fault_map_in(faults: &FaultMap, offset: usize, len: usize) -> FaultMap {
-    faults.masked(window_mask(offset, len))
-}
-
 /// The Comp+WF window search (§III-A): finds a start offset at which a
 /// `len`-byte payload is storable under `scheme`, trying `preferred` first
 /// and then sliding (wrapping) through the line.
@@ -121,14 +93,15 @@ pub fn fault_map_in(faults: &FaultMap, offset: usize, len: usize) -> FaultMap {
 /// # Examples
 ///
 /// ```
+/// use pcm_core::registry::ecc_scheme;
 /// use pcm_core::window::find_offset;
-/// use pcm_ecc::Ecp;
+/// use pcm_core::EccChoice;
 /// use pcm_util::fault::{FaultMap, StuckAt};
 ///
 /// // Ten faults in byte 0..2: a 32-byte window starting at byte 0 fails
 /// // ECP-6, but sliding past them succeeds.
 /// let faults: FaultMap = (0..10u16).map(|i| StuckAt { pos: i, value: true }).collect();
-/// let offset = find_offset(&Ecp::new(6), &faults, 32, 0, 1).unwrap();
+/// let offset = find_offset(ecc_scheme(EccChoice::Ecp6), &faults, 32, 0, 1).unwrap();
 /// assert_ne!(offset, 0);
 /// ```
 pub fn find_offset(
@@ -140,7 +113,7 @@ pub fn find_offset(
 ) -> Option<usize> {
     let mut buf = [0u16; DATA_BITS];
     first_fit(len, preferred, true, step, |offset| {
-        scheme.can_store(faults_in_buf(faults, offset, len, &mut buf))
+        scheme.can_store((faults.positions() & window_mask(offset, len)).ones_into(&mut buf))
     })
 }
 
@@ -196,40 +169,6 @@ mod tests {
             let mask = window_mask(offset, 20);
             assert_eq!(placed & !mask, base & !mask);
         }
-    }
-
-    #[test]
-    fn window_bytes_wrap() {
-        let v: Vec<usize> = window_bytes(62, 4).collect();
-        assert_eq!(v, vec![62, 63, 0, 1]);
-    }
-
-    #[test]
-    fn faults_filtered_by_window() {
-        let faults: FaultMap = [
-            StuckAt {
-                pos: 5,
-                value: true,
-            }, // byte 0
-            StuckAt {
-                pos: 500,
-                value: false,
-            }, // byte 62
-            StuckAt {
-                pos: 200,
-                value: true,
-            }, // byte 25
-        ]
-        .into_iter()
-        .collect();
-        assert_eq!(faults_in(&faults, 62, 4), vec![5, 500]);
-        assert_eq!(faults_in(&faults, 20, 10), vec![200]);
-        assert_eq!(fault_map_in(&faults, 62, 4).count(), 2);
-        // The stack-buffer variant agrees with the allocating one.
-        let mut buf = [0u16; DATA_BITS];
-        assert_eq!(faults_in_buf(&faults, 62, 4, &mut buf), &[5, 500]);
-        assert_eq!(faults_in_buf(&faults, 20, 10, &mut buf), &[200]);
-        assert_eq!(faults_in_buf(&faults, 30, 4, &mut buf), &[] as &[u16]);
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Equivalence suite for the wrapped compression-window kernels.
 //!
-//! `window_mask`, `place`, `extract`, and the fault queries are implemented
-//! with precomputed bit-range masks and word-level splices; the references
-//! here walk the wrapped byte indices one at a time via `window_bytes`,
-//! which is the definitional layout of a window that wraps at byte 64
-//! (paper §III-B).
+//! `window_mask`, `place`, `extract`, and the window fault queries built
+//! on `window_mask` are implemented with precomputed bit-range masks and
+//! word-level splices; the references here walk the wrapped byte indices
+//! one at a time (`wrapped_bytes`), which is the definitional layout of a
+//! window that wraps at byte 64 (paper §III-B).
 
 use pcm_core::window;
 use pcm_util::fault::StuckAt;
@@ -24,9 +24,14 @@ fn arb_faults() -> impl Strategy<Value = FaultMap> {
         .prop_map(|(seed, count, frac)| FaultPlan::with_count(seed, count, frac).for_line(0))
 }
 
+/// Byte indices covered by a wrapped window, in window order.
+fn wrapped_bytes(offset: usize, len: usize) -> impl Iterator<Item = usize> {
+    (0..len).map(move |i| (offset + i) % DATA_BYTES)
+}
+
 fn ref_window_mask(offset: usize, len: usize) -> Line512 {
     let mut mask = Line512::zero();
-    for byte in window::window_bytes(offset, len) {
+    for byte in wrapped_bytes(offset, len) {
         for bit in byte * 8..(byte + 1) * 8 {
             mask.set_bit(bit, true);
         }
@@ -55,15 +60,17 @@ proptest! {
     ) {
         let fast = window::place(&current, offset, &payload);
         let mut slow = current;
-        for (i, byte) in window::window_bytes(offset, payload.len()).enumerate() {
+        for (i, byte) in wrapped_bytes(offset, payload.len()).enumerate() {
             slow.set_byte(byte, payload[i]);
         }
         prop_assert_eq!(fast, slow);
         prop_assert_eq!(window::extract(&fast, offset, payload.len()), payload);
     }
 
-    /// Fault queries agree with filtering every fault through the wrapped
-    /// byte span, in both the position-list and FaultMap forms.
+    /// Window fault queries — the controller's probe lists
+    /// `(faults.positions() & window_mask(..)).ones_into(..)`, its encode
+    /// takes `faults.masked(window_mask(..))` — agree with filtering every
+    /// fault through the wrapped byte span.
     #[test]
     fn fault_queries_match_per_fault_filter(
         faults in arb_faults(),
@@ -72,20 +79,16 @@ proptest! {
         let (offset, len) = w;
         let in_window: Vec<StuckAt> = faults
             .iter()
-            .filter(|f| {
-                window::window_bytes(offset, len).any(|b| b == f.pos as usize / 8)
-            })
+            .filter(|f| wrapped_bytes(offset, len).any(|b| b == f.pos as usize / 8))
             .collect();
-
-        let positions = window::faults_in(&faults, offset, len);
         let expected: Vec<u16> = in_window.iter().map(|f| f.pos).collect();
-        prop_assert_eq!(&positions, &expected, "faults_in must list positions in bit order");
+        let mask = window::window_mask(offset, len);
 
         let mut buf = [0u16; DATA_BITS];
-        let buffered = window::faults_in_buf(&faults, offset, len, &mut buf);
-        prop_assert_eq!(buffered, &expected[..]);
+        let positions = (faults.positions() & mask).ones_into(&mut buf);
+        prop_assert_eq!(positions, &expected[..], "probe must list positions in bit order");
 
-        let map = window::fault_map_in(&faults, offset, len);
+        let map = faults.masked(mask);
         prop_assert_eq!(map.count() as usize, in_window.len());
         for f in in_window {
             prop_assert_eq!(map.stuck_value(f.pos as usize), Some(f.value));
@@ -101,9 +104,9 @@ proptest! {
         line in arb_line(),
     ) {
         let (offset, len) = w;
-        let map = window::fault_map_in(&faults, offset, len);
-        let outside = window::window_mask(offset, len) ^ Line512::ones();
+        let mask = window::window_mask(offset, len);
+        let map = faults.masked(mask);
         let changed = line ^ map.apply(line);
-        prop_assert!((changed & outside).is_zero());
+        prop_assert!((changed & !mask).is_zero());
     }
 }

@@ -8,7 +8,7 @@
 //! `(scheme, W, k)` point yields the failure probability
 //! (`1 − reliability`) curves of Fig. 9.
 
-use crate::scheme::HardErrorScheme;
+use crate::scheme::{find_window, HardErrorScheme};
 use pcm_util::{child_seed, seeded_rng, Pool, DATA_BITS, DATA_BYTES};
 use rand::RngExt;
 use serde::{Deserialize, Serialize};
@@ -65,30 +65,6 @@ fn sample_positions<R: rand::Rng>(
     out.sort_unstable();
 }
 
-/// One injection's verdict: `true` when no byte-aligned `window_bytes`
-/// window of a line with faults at the sorted `positions` can be stored,
-/// exactly `find_window(scheme, positions, window_bytes).is_none()`.
-///
-/// A window holding at most `guaranteed` faults is feasible by the trait
-/// contract (deterministic correction regardless of position; the
-/// `guaranteed_faults_round_trip` property test pins this for every
-/// scheme), so it is accepted without a
-/// [`can_store`](HardErrorScheme::can_store) call.
-fn no_window_fits(
-    scheme: &dyn HardErrorScheme,
-    positions: &[u16],
-    window_bytes: usize,
-    guaranteed: u32,
-) -> bool {
-    (0..=DATA_BYTES - window_bytes).all(|offset| {
-        let lo = (offset * 8) as u16;
-        let hi = ((offset + window_bytes) * 8) as u16;
-        let start = positions.partition_point(|&p| p < lo);
-        let end = positions.partition_point(|&p| p < hi);
-        (end - start) as u32 > guaranteed && !scheme.can_store(&positions[start..end])
-    })
-}
-
 /// Estimates the probability that a block with `errors` uniformly-placed
 /// faults **cannot** store a `window_bytes`-byte payload under `scheme`.
 ///
@@ -136,7 +112,6 @@ fn point_probabilities(
     assert!(mc.injections > 0, "need at least one injection");
 
     let batches = mc.injections.div_ceil(BATCH);
-    let guaranteed = scheme.guaranteed();
     let most_errors = points.iter().map(|&(_, e)| e).max().unwrap_or(0);
     let per_batch: Vec<u64> = Pool::new(mc.threads).map_indexed_with(
         points.len() * batches,
@@ -151,7 +126,7 @@ fn point_probabilities(
             let mut fail = 0u64;
             for _ in lo..hi {
                 sample_positions(&mut rng, errors, scratch, positions);
-                if no_window_fits(scheme, positions, window_bytes, guaranteed) {
+                if find_window(scheme, positions, window_bytes).is_none() {
                     fail += 1;
                 }
             }
@@ -209,7 +184,7 @@ pub fn failure_surface(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{find_window, Aegis, Ecp, Safer};
+    use crate::{Aegis, Ecp, Safer};
 
     fn quick_mc() -> MonteCarlo {
         MonteCarlo {
@@ -322,7 +297,6 @@ mod tests {
         };
         let (windows, errors) = ([8usize, 32, 64], [0usize, 6, 20, 44]);
         let surf = failure_surface(&aegis, &windows, &errors, &mc);
-        let guaranteed = aegis.guaranteed();
         let mut scratch = [0u16; DATA_BITS];
         let mut positions = Vec::new();
         for (w, &window) in windows.iter().enumerate() {
@@ -332,7 +306,7 @@ mod tests {
                     let mut rng = seeded_rng(child_seed(mc.seed, c as u64));
                     for _ in c * BATCH..((c + 1) * BATCH).min(mc.injections) {
                         sample_positions(&mut rng, k, &mut scratch, &mut positions);
-                        fail += u64::from(no_window_fits(&aegis, &positions, window, guaranteed));
+                        fail += u64::from(find_window(&aegis, &positions, window).is_none());
                     }
                 }
                 let want = fail as f64 / mc.injections as f64;
@@ -361,8 +335,8 @@ mod tests {
     #[test]
     fn injection_verdict_matches_find_window() {
         // Random fault sets of widely varying density, several schemes
-        // and window sizes: the guaranteed() shortcut must never change
-        // the verdict of the plain window search.
+        // and window sizes: find_window's guaranteed() shortcut must never
+        // change the verdict of a plain per-offset can_store scan.
         let schemes: [&dyn HardErrorScheme; 3] =
             [&Ecp::new(6), &Safer::new(32), &Aegis::new(17, 31)];
         let mut rng = seeded_rng(0xF16_9);
@@ -375,9 +349,19 @@ mod tests {
                         .collect();
                     faults.sort_unstable();
                     faults.dedup();
+                    let scan = (0..=DATA_BYTES - window_bytes).find(|&offset| {
+                        let window: Vec<u16> = faults
+                            .iter()
+                            .copied()
+                            .filter(|&p| {
+                                (offset..offset + window_bytes).contains(&(p as usize / 8))
+                            })
+                            .collect();
+                        scheme.can_store(&window)
+                    });
                     assert_eq!(
-                        no_window_fits(scheme, &faults, window_bytes, scheme.guaranteed()),
-                        find_window(scheme, &faults, window_bytes).is_none(),
+                        find_window(scheme, &faults, window_bytes),
+                        scan,
                         "{} window {} faults {:?}",
                         scheme.name(),
                         window_bytes,

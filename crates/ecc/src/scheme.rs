@@ -43,7 +43,9 @@ pub trait HardErrorScheme: Send + Sync {
     fn name(&self) -> &'static str;
 
     /// Number of faults the scheme corrects *deterministically*, regardless
-    /// of position.
+    /// of position: [`can_store`](Self::can_store) accepts every set of at
+    /// most this many positions, and [`find_window`] skips the call for
+    /// such windows.
     fn guaranteed(&self) -> u32;
 
     /// Metadata bits consumed in the per-line 64-bit ECC-chip region.
@@ -113,11 +115,17 @@ impl fmt::Debug for dyn HardErrorScheme {
 
 /// Finds the lowest byte-aligned compression-window offset at which a
 /// `window_bytes`-byte payload can be stored despite the line's faults —
-/// the *sliding window* search of the paper's Comp+WF design (§III-A).
+/// the *sliding window* search of the paper's Comp+WF design (§III-A),
+/// and the verdict of one Fig. 9 fault injection.
 ///
 /// `fault_positions` must be sorted ascending (bit indices in `0..512`).
 /// Returns the byte offset of the first feasible window, or `None` when the
 /// line is dead for this payload size.
+///
+/// A window holding at most [`guaranteed`](HardErrorScheme::guaranteed)
+/// faults is feasible by the trait contract (deterministic correction
+/// regardless of position), so it is accepted without a
+/// [`can_store`](HardErrorScheme::can_store) call.
 ///
 /// # Examples
 ///
@@ -147,16 +155,14 @@ pub fn find_window(
         fault_positions.windows(2).all(|w| w[0] <= w[1]),
         "positions must be sorted"
     );
-    for offset in 0..=(pcm_util::DATA_BYTES - window_bytes) {
+    let guaranteed = scheme.guaranteed();
+    (0..=pcm_util::DATA_BYTES - window_bytes).find(|&offset| {
         let lo = (offset * 8) as u16;
         let hi = ((offset + window_bytes) * 8) as u16;
         let start = fault_positions.partition_point(|&p| p < lo);
         let end = fault_positions.partition_point(|&p| p < hi);
-        if scheme.can_store(&fault_positions[start..end]) {
-            return Some(offset);
-        }
-    }
-    None
+        (end - start) as u32 <= guaranteed || scheme.can_store(&fault_positions[start..end])
+    })
 }
 
 #[cfg(test)]

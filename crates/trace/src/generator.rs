@@ -1,29 +1,13 @@
 //! The trace generator: Zipf-popular addresses over stateful blocks.
 
-use crate::content::ContentClass;
 use crate::profile::WorkloadProfile;
 use crate::record::{Access, AccessKind, Trace, WriteRecord};
+use crate::stream::BlockState;
 use pcm_util::dist::Zipf;
 use pcm_util::{seeded_rng, Line512};
 use rand::rngs::StdRng;
-use rand::seq::{IndexedRandom, SliceRandom};
+use rand::seq::SliceRandom;
 use rand::RngExt;
-
-/// Per-block temporal state.
-///
-/// Each address carries a fixed *affinity* (the content class sampled at
-/// first touch): morphs wander only to size-adjacent classes of the
-/// affinity. This matches the paper's Fig. 11 observation that the
-/// per-address **maximum** compressed size has a workload-characteristic
-/// distribution — addresses do not all drift to incompressible content
-/// even in volatile workloads.
-#[derive(Debug, Clone)]
-struct BlockState {
-    /// Size rank of the affinity class in [`crate::content::ALL_CLASSES`].
-    affinity: usize,
-    class: ContentClass,
-    data: Line512,
-}
 
 /// Generates a synthetic LLC write-back stream for one workload over a
 /// memory of `lines` logical lines.
@@ -131,49 +115,19 @@ impl TraceGenerator {
         (0..n).map(|_| self.next_write()).collect()
     }
 
-    /// Computes the new content of a block being rewritten.
+    /// Computes the new content of a block being rewritten: the morph
+    /// draw comes first, then a first touch samples a fresh block and
+    /// every later write applies the shared [`BlockState::rewrite`] step.
     fn rewrite(&mut self, idx: usize) -> Line512 {
-        use crate::content::ALL_CLASSES;
         let morph = self.rng.random_bool(self.profile.size_volatility);
         match &mut self.blocks[idx] {
+            Some(block) => block.rewrite(&self.profile, &mut self.rng, morph),
             state @ None => {
-                let class = self.profile.sample_class(&mut self.rng);
-                let data = class.generate(&mut self.rng);
-                *state = Some(BlockState {
-                    affinity: class.size_rank(),
-                    class,
-                    data,
-                });
-            }
-            Some(block) if morph => {
-                // Bounded wander: jump to a size-adjacent class of the
-                // affinity *different from the current one*, so the
-                // compressed size changes (Fig. 6) while the address keeps
-                // its characteristic size tier (Fig. 11).
-                let a = block.affinity as i64;
-                let max = ALL_CLASSES.len() as i64 - 1;
-                let mut candidates: Vec<usize> = [a - 1, a, a + 1]
-                    .into_iter()
-                    .filter(|&r| (0..=max).contains(&r))
-                    .map(|r| r as usize)
-                    .filter(|&r| ALL_CLASSES[r] != block.class)
-                    .collect();
-                candidates.dedup();
-                let rank = *candidates
-                    .choose(&mut self.rng)
-                    .expect("at least one neighbour");
-                let class = ALL_CLASSES[rank];
-                block.class = class;
-                block.data = class.generate(&mut self.rng);
-            }
-            Some(block) => {
-                block.data =
-                    block
-                        .class
-                        .mutate(&mut self.rng, &block.data, self.profile.mutation_words);
+                state
+                    .insert(BlockState::fresh(&self.profile, &mut self.rng))
+                    .data
             }
         }
-        self.blocks[idx].as_ref().expect("state just set").data
     }
 }
 

@@ -1,7 +1,8 @@
-//! A standalone per-block write stream.
+//! A standalone per-block write stream, and the per-block evolution step
+//! it shares with the trace generator.
 //!
-//! [`BlockStream`] evolves one block's content exactly like
-//! [`TraceGenerator`](crate::TraceGenerator) evolves each of its blocks
+//! [`BlockStream`] evolves one block's content with the same step
+//! [`TraceGenerator`](crate::TraceGenerator) applies to each of its blocks
 //! (affinity, bounded-wander morphs, in-place mutations), but as an
 //! independent, separately-seeded object. The lifetime engine simulates
 //! each physical line with its own `BlockStream`, swapping in a fresh one
@@ -12,7 +13,72 @@ use crate::profile::WorkloadProfile;
 use pcm_util::{seeded_rng, Line512};
 use rand::rngs::StdRng;
 use rand::seq::IndexedRandom;
-use rand::RngExt;
+use rand::{Rng, RngExt};
+
+/// One block's temporal state.
+///
+/// Each block carries a fixed *affinity* (the content class sampled at
+/// first touch): morphs wander only to size-adjacent classes of the
+/// affinity. This matches the paper's Fig. 11 observation that the
+/// per-address **maximum** compressed size has a workload-characteristic
+/// distribution — addresses do not all drift to incompressible content
+/// even in volatile workloads.
+#[derive(Debug, Clone)]
+pub(crate) struct BlockState {
+    /// Size rank of the affinity class in [`ALL_CLASSES`].
+    affinity: usize,
+    class: ContentClass,
+    pub(crate) data: Line512,
+}
+
+impl BlockState {
+    /// A fresh block sampled from the profile's mixture.
+    pub(crate) fn fresh<R: Rng + ?Sized>(profile: &WorkloadProfile, rng: &mut R) -> Self {
+        let class = profile.sample_class(rng);
+        let data = class.generate(rng);
+        BlockState {
+            affinity: class.size_rank(),
+            class,
+            data,
+        }
+    }
+
+    /// Rewrites the block and returns its new content: with `morph` (drawn
+    /// by the caller with probability `size_volatility`), a jump to a
+    /// size-adjacent class of the affinity *different from the current
+    /// one*, so the compressed size changes (Fig. 6) while the address
+    /// keeps its characteristic size tier (Fig. 11); otherwise an in-place
+    /// mutation of a few words.
+    pub(crate) fn rewrite<R: Rng + ?Sized>(
+        &mut self,
+        profile: &WorkloadProfile,
+        rng: &mut R,
+        morph: bool,
+    ) -> Line512 {
+        if morph {
+            let a = self.affinity as i64;
+            let max = ALL_CLASSES.len() as i64 - 1;
+            // At most three neighbour ranks: keep them on the stack (this
+            // runs once per sampled write in the lifetime hot path).
+            let mut candidates = [0usize; 3];
+            let mut len = 0;
+            for r in [a - 1, a, a + 1] {
+                if (0..=max).contains(&r) && ALL_CLASSES[r as usize] != self.class {
+                    candidates[len] = r as usize;
+                    len += 1;
+                }
+            }
+            let rank = *candidates[..len]
+                .choose(rng)
+                .expect("at least one neighbour");
+            self.class = ALL_CLASSES[rank];
+            self.data = self.class.generate(rng);
+        } else {
+            self.data = self.class.mutate(rng, &self.data, profile.mutation_words);
+        }
+        self.data
+    }
+}
 
 /// An infinite stream of write-back payloads for one logical block.
 ///
@@ -31,9 +97,7 @@ use rand::RngExt;
 pub struct BlockStream {
     profile: WorkloadProfile,
     rng: StdRng,
-    affinity: usize,
-    class: ContentClass,
-    data: Line512,
+    block: BlockState,
 }
 
 impl BlockStream {
@@ -41,55 +105,30 @@ impl BlockStream {
     /// profile's mixture.
     pub fn new(profile: WorkloadProfile, seed: u64) -> Self {
         let mut rng = seeded_rng(seed);
-        let class = profile.sample_class(&mut rng);
-        let data = class.generate(&mut rng);
+        let block = BlockState::fresh(&profile, &mut rng);
         BlockStream {
             profile,
             rng,
-            affinity: class.size_rank(),
-            class,
-            data,
+            block,
         }
     }
 
     /// The block's current content (what the previous write stored).
     pub fn current(&self) -> Line512 {
-        self.data
+        self.block.data
     }
 
     /// The block's current content class.
     pub fn class(&self) -> ContentClass {
-        self.class
+        self.block.class
     }
 
     /// Produces the next write-back payload: a morph (size jump within the
     /// affinity tier) with probability `size_volatility`, otherwise an
     /// in-place mutation.
     pub fn next_data(&mut self) -> Line512 {
-        if self.rng.random_bool(self.profile.size_volatility) {
-            let a = self.affinity as i64;
-            let max = ALL_CLASSES.len() as i64 - 1;
-            // At most three neighbour ranks: keep them on the stack (this
-            // runs once per sampled write in the lifetime hot path).
-            let mut candidates = [0usize; 3];
-            let mut len = 0;
-            for r in [a - 1, a, a + 1] {
-                if (0..=max).contains(&r) && ALL_CLASSES[r as usize] != self.class {
-                    candidates[len] = r as usize;
-                    len += 1;
-                }
-            }
-            let rank = *candidates[..len]
-                .choose(&mut self.rng)
-                .expect("at least one neighbour");
-            self.class = ALL_CLASSES[rank];
-            self.data = self.class.generate(&mut self.rng);
-        } else {
-            self.data = self
-                .class
-                .mutate(&mut self.rng, &self.data, self.profile.mutation_words);
-        }
-        self.data
+        let morph = self.rng.random_bool(self.profile.size_volatility);
+        self.block.rewrite(&self.profile, &mut self.rng, morph)
     }
 }
 

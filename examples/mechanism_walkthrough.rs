@@ -11,7 +11,7 @@
 //! Run with: `cargo run --release --example mechanism_walkthrough`
 
 use collab_pcm::compress::{compress_best, CompressedWrite, Method};
-use collab_pcm::core::line::{EccEngine, ManagedLine, Payload};
+use collab_pcm::core::line::{ManagedLine, Payload};
 use collab_pcm::core::EccChoice;
 use collab_pcm::util::Line512;
 
@@ -24,11 +24,14 @@ fn compressible(tag: u8) -> Line512 {
     Line512::from_bytes(&bytes)
 }
 
-fn write(line: &mut ManagedLine, engine: &EccEngine, data: Line512) -> (usize, usize) {
+/// The walkthrough's hard-error scheme.
+const ECC: EccChoice = EccChoice::Ecp6;
+
+fn write(line: &mut ManagedLine, data: Line512) -> (usize, usize) {
     let c = compress_best(&data);
     let r = line
         .write(
-            engine,
+            ECC,
             Payload {
                 method: c.method(),
                 bytes: c.bytes(),
@@ -39,7 +42,7 @@ fn write(line: &mut ManagedLine, engine: &EccEngine, data: Line512) -> (usize, u
         )
         .expect("line still serviceable");
     // Verify the read path end-to-end.
-    let (method, bytes) = line.read(engine).expect("valid");
+    let (method, bytes) = line.read(ECC).expect("valid");
     let back = collab_pcm::compress::decompress(
         &CompressedWrite::from_parts(method, bytes).expect("consistent"),
     );
@@ -48,8 +51,6 @@ fn write(line: &mut ManagedLine, engine: &EccEngine, data: Line512) -> (usize, u
 }
 
 fn main() {
-    let engine = EccEngine::new(EccChoice::Ecp6);
-
     // A line whose first 20 cells are about to die (they survive exactly
     // one programming event) — the worn LSB region of Fig. 4's scenario 3.
     let mut endurance = vec![u32::MAX; 512];
@@ -59,7 +60,7 @@ fn main() {
     let mut line = ManagedLine::with_endurance(endurance);
 
     println!("(1) initial write: compressed payload at the least significant bytes");
-    let (offset, size) = write(&mut line, &engine, compressible(1));
+    let (offset, size) = write(&mut line, compressible(1));
     println!(
         "    window = [{offset}, {}) bytes, {size}B compressed payload",
         offset + size
@@ -68,7 +69,7 @@ fn main() {
 
     println!("(2) steady state: rewrites wear the window cells; ECP-6 covers early faults");
     for tag in 2..6 {
-        write(&mut line, &engine, compressible(tag));
+        write(&mut line, compressible(tag));
     }
     println!(
         "    faults so far: {} (ECP-6 tolerates 6 anywhere)",
@@ -78,7 +79,7 @@ fn main() {
     println!("(3) sliding: the weak LSB cells exceed ECP-6's budget inside the window");
     let mut slid_to = 0;
     for tag in 6..30 {
-        let (offset, _) = write(&mut line, &engine, compressible(tag));
+        let (offset, _) = write(&mut line, compressible(tag));
         if offset != 0 {
             slid_to = offset;
             break;
@@ -99,12 +100,12 @@ fn main() {
     let random = Line512::random(&mut rng);
     let c = compress_best(&random);
     assert_eq!(c.method(), Method::Uncompressed);
-    match line.write(&engine, Payload { method: c.method(), bytes: c.bytes() }, 0, true, 1) {
+    match line.write(ECC, Payload { method: c.method(), bytes: c.bytes() }, 0, true, 1) {
         Ok(r) => println!("    64B write stored (offset {}) — fault count still within budget", r.offset),
         Err(e) => println!("    64B write failed ({e}) — the block is dead *for this data*, but a compressible block could still resurrect it"),
     }
 
-    let can_host_small = line.can_host(&engine, 16, 0, true, 1).is_some();
+    let can_host_small = line.can_host(ECC, 16, 0, true, 1).is_some();
     println!(
         "    resurrection check: a 16B payload {} fit this line",
         if can_host_small { "would" } else { "would not" }

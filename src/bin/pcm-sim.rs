@@ -14,7 +14,7 @@
 
 use collab_pcm::compress::compress_best;
 use collab_pcm::core::lifetime::{run_campaign, CampaignConfig, LineSimConfig};
-use collab_pcm::core::registry::{parse_ecc, parse_kind, parse_wear};
+use collab_pcm::core::registry::{ecc_scheme, parse_ecc, parse_kind, parse_wear};
 use collab_pcm::core::{EccChoice, PcmMemory, SystemConfig, SystemKind, WearChoice};
 use collab_pcm::ecc::montecarlo::{failure_probability, MonteCarlo};
 use collab_pcm::trace::calibrate::compression_stats;
@@ -136,7 +136,7 @@ fn lifetime(opts: &Opts) {
 }
 
 fn montecarlo(opts: &Opts) {
-    let scheme = opts.ecc().scheme();
+    let scheme = ecc_scheme(opts.ecc());
     let window: usize = opts.num("window", 32);
     let errors: usize = opts.num("errors", 16);
     let mc = MonteCarlo {
@@ -269,7 +269,7 @@ fn usage(msg: &str) -> ! {
          \x20 trace      --app APP --out FILE [--writes N] [--lines N]\n\
          \x20 replay     --in FILE [--system S] [--endurance E]\n\n\
          systems: baseline | comp | compw | compwf\n\
-         ecc:     ecp6 | ecpN | safer32 | aegis | secded | coset\n\
+         ecc:     ecp6 | ecpN (N in 1..=51) | safer32 | aegis | secded | coset\n\
          wear:    startgap | secref | wolfram  (--wear, default startgap)\n\
          apps:    {}",
         ALL_APPS.map(|a| a.name()).join(" ")

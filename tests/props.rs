@@ -2,7 +2,8 @@
 //! data, fault sets, and window placements.
 
 use collab_pcm::compress::{compress_best, decompress, CompressedWrite};
-use collab_pcm::core::line::{EccEngine, ManagedLine, Payload};
+use collab_pcm::core::line::{ManagedLine, Payload};
+use collab_pcm::core::registry::ecc_scheme;
 use collab_pcm::core::window;
 use collab_pcm::core::EccChoice;
 use collab_pcm::device::dw::diff_write;
@@ -22,7 +23,7 @@ proptest! {
 
     /// Compression is lossless through the whole storage pipeline: write a
     /// line into a ManagedLine (with weak cells that die under it) and
-    /// read back exactly, for every ECC engine.
+    /// read back exactly, under ECP-6, SAFER-32 and Aegis.
     #[test]
     fn storage_pipeline_is_lossless(
         data in arb_line(),
@@ -34,16 +35,15 @@ proptest! {
             EccChoice::Aegis17x31,
         ]),
     ) {
-        let engine = EccEngine::new(ecc);
         let mut endurance = vec![u32::MAX; 512];
         for pos in weak {
             endurance[pos] = 0;
         }
         let mut line = ManagedLine::with_endurance(endurance);
         let c = compress_best(&data);
-        line.write(&engine, Payload { method: c.method(), bytes: c.bytes() }, offset, true, 1)
+        line.write(ecc, Payload { method: c.method(), bytes: c.bytes() }, offset, true, 1)
             .expect("at most 5 weak cells is within every scheme's guarantee");
-        let (method, bytes) = line.read(&engine).expect("valid");
+        let (method, bytes) = line.read(ecc).expect("valid");
         let back = decompress(&CompressedWrite::from_parts(method, bytes).unwrap());
         prop_assert_eq!(back, data);
     }
@@ -89,7 +89,7 @@ proptest! {
         masks in prop::collection::vec(any::<u64>(), 50),
     ) {
         for choice in EccChoice::ALL.into_iter().chain([EccChoice::EcpN(8)]) {
-            let scheme = choice.scheme();
+            let scheme = ecc_scheme(choice);
             // Grow a storable set from the draws, keeping each position
             // that leaves it storable; clustered draws share 8 bytes.
             let mut set: Vec<u16> = Vec::new();
