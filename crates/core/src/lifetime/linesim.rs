@@ -15,7 +15,7 @@ pub struct LineSimConfig {
     /// The workload whose blocks the line hosts.
     pub profile: WorkloadProfile,
     /// Real writes simulated per segment before fast-forwarding (the
-    /// sampling ratio is `sample_writes / segment length`).
+    /// sampling ratio is `sample_writes / segment length`); at least 1.
     pub sample_writes: u32,
     /// Horizon: stop after this many per-line demand writes.
     pub max_writes: u64,
@@ -91,14 +91,27 @@ impl LineScratch {
 /// by intra-line rotations; per segment, `sample_writes` real writes
 /// establish the per-cell flip rates, and the rest of the segment is
 /// fast-forwarded onto the wear counters.
+///
+/// # Panics
+///
+/// As [`simulate_line_with`].
 pub fn simulate_line(cfg: &LineSimConfig, seed: u64) -> LineRecord {
     simulate_line_with(cfg, seed, &mut LineScratch::new())
 }
 
 /// [`simulate_line`] with caller-owned scratch buffers, reusable across
 /// lines (the campaign runner hands each pool worker one [`LineScratch`]).
+///
+/// # Panics
+///
+/// Panics if `cfg.sample_writes` is 0: a segment with no sampled write
+/// has no flip rates to fast-forward, so the line would never advance.
 // pcm-audit: root(hotpath-alloc) — per-line inner loop of the campaign runner; scratch buffers exist so this chain never allocates
 pub fn simulate_line_with(cfg: &LineSimConfig, seed: u64, scratch: &mut LineScratch) -> LineRecord {
+    assert!(
+        cfg.sample_writes >= 1,
+        "need at least one sampled write per segment"
+    );
     let sys = &cfg.system;
     let mut rng = seeded_rng(child_seed(seed, 0));
     // pcm-audit: allow(hotpath-alloc) — one-time per-line endurance sampling, outside the write loop
@@ -293,7 +306,8 @@ pub fn simulate_line_with(cfg: &LineSimConfig, seed: u64, scratch: &mut LineScra
 ///
 /// # Panics
 ///
-/// Panics if more than [`pcm_util::BATCH_LANES`] seeds are passed.
+/// Panics if more than [`pcm_util::BATCH_LANES`] seeds are passed, or as
+/// [`simulate_line_with`].
 pub fn simulate_line_batch(
     cfg: &LineSimConfig,
     seeds: &[u64],
@@ -385,5 +399,15 @@ mod tests {
         if rec.events.len() >= 2 {
             assert!(rec.events.windows(2).all(|w| w[0] <= w[1]));
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one sampled write")]
+    fn zero_sampled_writes_is_refused() {
+        // With no sampled write a segment never advances the line, so the
+        // simulation would spin forever instead of reaching its horizon.
+        let mut cfg = quick_cfg(SystemKind::Baseline, 100.0, SpecApp::Milc);
+        cfg.sample_writes = 0;
+        simulate_line(&cfg, 1);
     }
 }

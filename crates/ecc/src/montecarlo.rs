@@ -7,9 +7,19 @@
 //! fault subset the hard-error scheme can mask. Repeating 100 000 times per
 //! `(scheme, W, k)` point yields the failure probability
 //! (`1 − reliability`) curves of Fig. 9.
+//!
+//! A sweep draws each injection's fault set once and asks every window
+//! size about it, narrowest first, stopping at the first size with no
+//! fit: every wider size fails on that fault set too. A `W′`-byte window
+//! at offset `o` holds the `W`-byte window at `o` for `W < W′`, and its
+//! offsets `0..=64 − W′` are a subset of the narrower size's
+//! `0..=64 − W`, so if no `W`-byte window fits, subset closure of
+//! [`HardErrorScheme::can_store`] leaves no `W′`-byte window that does.
+//! For the same reason a wider size never fits before a narrower one's
+//! first fit, so its search starts there.
 
-use crate::scheme::{find_window, HardErrorScheme};
-use pcm_util::{child_seed, seeded_rng, Pool, DATA_BITS, DATA_BYTES};
+use crate::scheme::{find_window_from, HardErrorScheme};
+use pcm_util::{child_seed, seeded_rng, Line512, Pool, DATA_BITS, DATA_BYTES};
 use rand::RngExt;
 use serde::{Deserialize, Serialize};
 
@@ -45,30 +55,34 @@ impl Default for MonteCarlo {
 }
 
 /// Samples `k` distinct fault positions in `0..512` (partial Fisher–Yates)
-/// into the caller-owned `out` buffer, sorted ascending.
-fn sample_positions<R: rand::Rng>(
+/// and lists them ascending into `out`, returning the filled prefix. The
+/// draws are marked in a 512-bit mask, whose set bits list in order
+/// without a sort.
+// pcm-audit: root(hotpath-alloc) — per-injection fault draw of the Fig. 9 Monte-Carlo; both buffers are caller-owned per-worker scratch
+fn sample_positions<'a, R: rand::Rng>(
     rng: &mut R,
     k: usize,
     scratch: &mut [u16; DATA_BITS],
-    out: &mut Vec<u16>,
-) {
+    out: &'a mut [u16; DATA_BITS],
+) -> &'a [u16] {
     debug_assert!(k <= DATA_BITS);
     for (i, s) in scratch.iter_mut().enumerate() {
         *s = i as u16;
     }
+    let mut drawn = Line512::zero();
     for i in 0..k {
         let j = rng.random_range(i..DATA_BITS);
         scratch.swap(i, j);
+        drawn.set_bit(usize::from(scratch[i]), true);
     }
-    out.clear();
-    out.extend_from_slice(&scratch[..k]);
-    out.sort_unstable();
+    drawn.ones_into(out)
 }
 
 /// Estimates the probability that a block with `errors` uniformly-placed
 /// faults **cannot** store a `window_bytes`-byte payload under `scheme`.
 ///
-/// This regenerates one point of the paper's Fig. 9.
+/// This regenerates one point of the paper's Fig. 9: the one-point
+/// [`failure_surface`].
 ///
 /// # Panics
 ///
@@ -80,64 +94,11 @@ pub fn failure_probability(
     errors: usize,
     mc: &MonteCarlo,
 ) -> f64 {
-    point_probabilities(scheme, &[(window_bytes, errors)], mc)[0]
+    failure_surface(scheme, &[window_bytes], &[errors], mc).probabilities[0][0]
 }
 
 /// Injections per batch, the unit of work a pool worker claims.
 const BATCH: usize = 1_024;
-
-/// Failure probabilities of every `(window_bytes, errors)` point, in order.
-///
-/// All points' batches go to one pool as a single job list, so the workers
-/// start once per call and never wait for each other between points: a
-/// worker that finishes a batch claims the next one, whichever point it
-/// belongs to. A batch is seeded by its index within the point, not by
-/// worker id or claim order, so every estimate is bit-identical for any
-/// thread count (each injection sees the same RNG stream no matter which
-/// worker claims its batch, and u64 summation commutes). The shuffle
-/// scratch and the sampled-position buffer are per-worker scratch, reused
-/// across every batch a worker claims.
-fn point_probabilities(
-    scheme: &dyn HardErrorScheme,
-    points: &[(usize, usize)],
-    mc: &MonteCarlo,
-) -> Vec<f64> {
-    for &(window_bytes, errors) in points {
-        assert!(
-            (1..=DATA_BYTES).contains(&window_bytes),
-            "window must be 1..=64 bytes, got {window_bytes}"
-        );
-        assert!(errors <= DATA_BITS, "at most 512 faults fit a line");
-    }
-    assert!(mc.injections > 0, "need at least one injection");
-
-    let batches = mc.injections.div_ceil(BATCH);
-    let most_errors = points.iter().map(|&(_, e)| e).max().unwrap_or(0);
-    let per_batch: Vec<u64> = Pool::new(mc.threads).map_indexed_with(
-        points.len() * batches,
-        1,
-        || ([0u16; DATA_BITS], Vec::with_capacity(most_errors)),
-        |(scratch, positions), j| {
-            let (window_bytes, errors) = points[j / batches];
-            let c = j % batches;
-            let lo = c * BATCH;
-            let hi = (lo + BATCH).min(mc.injections);
-            let mut rng = seeded_rng(child_seed(mc.seed, c as u64));
-            let mut fail = 0u64;
-            for _ in lo..hi {
-                sample_positions(&mut rng, errors, scratch, positions);
-                if find_window(scheme, positions, window_bytes).is_none() {
-                    fail += 1;
-                }
-            }
-            fail
-        },
-    );
-    per_batch
-        .chunks(batches)
-        .map(|point| point.iter().sum::<u64>() as f64 / mc.injections as f64)
-        .collect()
-}
 
 /// A full Fig. 9 sweep for one scheme: failure probability for every
 /// `(window, errors)` combination.
@@ -155,6 +116,23 @@ pub struct FailureSurface {
 
 /// Sweeps failure probability over windows × error counts (Fig. 9 panel).
 ///
+/// The pool's job list is (error count, batch of injections), one list
+/// for the whole surface, so the workers start once per call and never
+/// wait for each other between points. A job draws each injection's
+/// fault set once and scores every window size on it, narrowest first,
+/// each search starting at the previous size's first fit; the first size
+/// with no fit ends the injection, and every wider size counts it as
+/// failed (module docs: a wider size's offsets are a subset of a
+/// narrower one's). Windows may come in any order and repeat.
+///
+/// A batch is seeded by its index within the error count,
+/// `child_seed(seed, batch)`, never by window, worker id or claim order.
+/// So every window sees the fault sets a run of its own point would
+/// draw, and every estimate is bit-identical to that run and for any
+/// thread count (u64 failure counts sum in any order). The shuffle
+/// scratch and the listed positions are per-worker scratch, reused
+/// across every batch a worker claims.
+///
 /// # Panics
 ///
 /// As [`failure_probability`], for any window or error count.
@@ -164,14 +142,73 @@ pub fn failure_surface(
     errors: &[usize],
     mc: &MonteCarlo,
 ) -> FailureSurface {
-    let points: Vec<(usize, usize)> = windows
-        .iter()
-        .flat_map(|&w| errors.iter().map(move |&e| (w, e)))
+    for &window_bytes in windows {
+        assert!(
+            (1..=DATA_BYTES).contains(&window_bytes),
+            "window must be 1..=64 bytes, got {window_bytes}"
+        );
+    }
+    assert!(
+        errors.iter().all(|&e| e <= DATA_BITS),
+        "at most 512 faults fit a line"
+    );
+    assert!(mc.injections > 0, "need at least one injection");
+
+    let mut widths = windows.to_vec();
+    widths.sort_unstable();
+    widths.dedup();
+    let batches = mc.injections.div_ceil(BATCH);
+    // Per job, per width: the injections whose narrowest window with no
+    // fit was that width.
+    let first_misses: Vec<Vec<u64>> = Pool::new(mc.threads).map_indexed_with(
+        errors.len() * batches,
+        1,
+        || ([0u16; DATA_BITS], [0u16; DATA_BITS]),
+        |(scratch, listed), j| {
+            let (k, c) = (errors[j / batches], j % batches);
+            let lo = c * BATCH;
+            let hi = (lo + BATCH).min(mc.injections);
+            let mut rng = seeded_rng(child_seed(mc.seed, c as u64));
+            let mut first_miss = vec![0u64; widths.len()];
+            for _ in lo..hi {
+                let faults = sample_positions(&mut rng, k, scratch, listed);
+                let mut from = 0;
+                for (w, &width) in widths.iter().enumerate() {
+                    match find_window_from(scheme, faults, width, from) {
+                        Some(offset) => from = offset,
+                        None => {
+                            first_miss[w] += 1;
+                            break;
+                        }
+                    }
+                }
+            }
+            first_miss
+        },
+    );
+    // failures[e][w]: injections at errors[e] with no window of widths[w],
+    // i.e. whose first miss was at widths[w] or narrower.
+    let failures: Vec<Vec<u64>> = first_misses
+        .chunks(batches)
+        .map(|jobs| {
+            let mut failed = 0;
+            (0..widths.len())
+                .map(|w| {
+                    failed += jobs.iter().map(|job| job[w]).sum::<u64>();
+                    failed
+                })
+                .collect()
+        })
         .collect();
-    let flat = point_probabilities(scheme, &points, mc);
-    let row = errors.len();
-    let probabilities = (0..windows.len())
-        .map(|w| flat[w * row..(w + 1) * row].to_vec())
+    let probabilities = windows
+        .iter()
+        .map(|&window_bytes| {
+            let w = widths.partition_point(|&width| width < window_bytes);
+            failures
+                .iter()
+                .map(|point| point[w] as f64 / mc.injections as f64)
+                .collect()
+        })
         .collect();
     FailureSurface {
         scheme: scheme.name().to_string(),
@@ -184,7 +221,7 @@ pub fn failure_surface(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Aegis, Ecp, Safer};
+    use crate::{find_window, Aegis, Ecp, Safer};
 
     fn quick_mc() -> MonteCarlo {
         MonteCarlo {
@@ -286,27 +323,29 @@ mod tests {
 
     #[test]
     fn surface_matches_serial_per_point_reference() {
-        // One job list over the whole surface must give every point the
-        // estimate a serial loop over that point's own batches gives;
-        // 2 100 injections leave a short last batch.
+        // The shared draw, the fit-offset start and the narrow-first stop
+        // must give every point the estimate a serial loop over that
+        // point's own batches gives, whatever the window order; 2 100
+        // injections leave a short last batch, and a repeated window or
+        // error count is just another row or column.
         let aegis = Aegis::new(17, 31);
         let mc = MonteCarlo {
             injections: 2_100,
             seed: 31,
             threads: 2,
         };
-        let (windows, errors) = ([8usize, 32, 64], [0usize, 6, 20, 44]);
+        let (windows, errors) = ([64usize, 8, 32, 8], [0usize, 6, 20, 6, 44]);
         let surf = failure_surface(&aegis, &windows, &errors, &mc);
         let mut scratch = [0u16; DATA_BITS];
-        let mut positions = Vec::new();
+        let mut listed = [0u16; DATA_BITS];
         for (w, &window) in windows.iter().enumerate() {
             for (e, &k) in errors.iter().enumerate() {
                 let mut fail = 0u64;
                 for c in 0..mc.injections.div_ceil(BATCH) {
                     let mut rng = seeded_rng(child_seed(mc.seed, c as u64));
                     for _ in c * BATCH..((c + 1) * BATCH).min(mc.injections) {
-                        sample_positions(&mut rng, k, &mut scratch, &mut positions);
-                        fail += u64::from(find_window(&aegis, &positions, window).is_none());
+                        let faults = sample_positions(&mut rng, k, &mut scratch, &mut listed);
+                        fail += u64::from(find_window(&aegis, faults, window).is_none());
                     }
                 }
                 let want = fail as f64 / mc.injections as f64;
@@ -321,12 +360,21 @@ mod tests {
 
     #[test]
     fn sample_positions_distinct_and_sorted() {
-        let mut rng = seeded_rng(8);
+        // The mask listing must give exactly the sorted partial
+        // Fisher–Yates draw, with the same RNG calls.
+        let (mut rng, mut twin) = (seeded_rng(8), seeded_rng(8));
         let mut scratch = [0u16; DATA_BITS];
-        let mut pos = Vec::new();
-        for k in [0usize, 1, 64, 512] {
-            sample_positions(&mut rng, k, &mut scratch, &mut pos);
-            assert_eq!(pos.len(), k);
+        let mut listed = [0u16; DATA_BITS];
+        for k in [0usize, 1, 64, 160, 512] {
+            let pos = sample_positions(&mut rng, k, &mut scratch, &mut listed);
+            let mut deck: Vec<u16> = (0..DATA_BITS as u16).collect();
+            for i in 0..k {
+                let j = twin.random_range(i..DATA_BITS);
+                deck.swap(i, j);
+            }
+            let mut want = deck[..k].to_vec();
+            want.sort_unstable();
+            assert_eq!(pos, &want[..], "k = {k}");
             assert!(pos.windows(2).all(|w| w[0] < w[1]), "distinct & sorted");
             assert!(pos.iter().all(|&p| (p as usize) < DATA_BITS));
         }
@@ -335,15 +383,17 @@ mod tests {
     #[test]
     fn injection_verdict_matches_find_window() {
         // Random fault sets of widely varying density, several schemes
-        // and window sizes: find_window's guaranteed() shortcut must never
-        // change the verdict of a plain per-offset can_store scan.
+        // and window sizes: neither find_window's guaranteed() shortcut
+        // nor its skip past a failed window's first faulty byte may change
+        // the offset a plain per-offset can_store scan finds. Up to ~160
+        // faults, most narrow windows fail somewhere, so the skip fires.
         let schemes: [&dyn HardErrorScheme; 3] =
             [&Ecp::new(6), &Safer::new(32), &Aegis::new(17, 31)];
         let mut rng = seeded_rng(0xF16_9);
         for scheme in schemes {
-            for window_bytes in [1usize, 16, 48, 64] {
+            for window_bytes in [1usize, 8, 16, 32, 48, 64] {
                 for _ in 0..64 {
-                    let k = rng.random_range(0..40usize);
+                    let k = rng.random_range(0..160usize);
                     let mut faults: Vec<u16> = (0..k)
                         .map(|_| rng.random_range(0..DATA_BITS as u16))
                         .collect();

@@ -66,10 +66,18 @@ pub trait HardErrorScheme: Send + Sync {
     /// has already probed without asking again.
     ///
     /// The answer is also subset-closed: if a position set is storable,
-    /// so is every subset of it. The window controller relies on this:
-    /// a window that holds a payload holds any shorter payload at the
-    /// same offset, so one resurrection check on the smallest payload
-    /// form answers for every form.
+    /// so is every subset of it. Three callers rely on this:
+    ///
+    /// * the window controller: a window that holds a payload holds any
+    ///   shorter payload at the same offset, so one resurrection check on
+    ///   the smallest payload form answers for every form;
+    /// * [`find_window`]: after a window fails, it skips every later
+    ///   offset whose window still covers all of the failed window's
+    ///   faults;
+    /// * the Fig. 9 Monte-Carlo ([`crate::montecarlo::failure_surface`]):
+    ///   it scores window sizes narrowest first, starts each wider size's
+    ///   search at the narrower size's first fit, and stops at the first
+    ///   size with no fit, counting every wider size as failed.
     fn can_store(&self, fault_positions: &[u16]) -> bool;
 
     /// Payload-transform tag bits this scheme stores per line, *on top of*
@@ -127,13 +135,21 @@ impl fmt::Debug for dyn HardErrorScheme {
 /// regardless of position), so it is accepted without a
 /// [`can_store`](HardErrorScheme::can_store) call.
 ///
+/// A window that fails holds at least one fault, since an empty window
+/// always passes the `guaranteed()` check. Every later window that starts
+/// at or before the byte of that first fault still covers all of the
+/// failed window's faults, plus perhaps more, so it fails too by subset
+/// closure ([`can_store`](HardErrorScheme::can_store)). The search
+/// therefore resumes at the byte after the first fault, and the returned
+/// offset is still the one a plain per-offset scan returns.
+///
 /// # Examples
 ///
 /// ```
 /// use pcm_ecc::{find_window, Ecp};
 ///
-/// // Ten faults packed into the first byte: a 16-byte window must slide
-/// // past them.
+/// // Eight faults fill the first byte: a 16-byte window must slide past
+/// // them.
 /// let faults: Vec<u16> = (0..8).collect();
 /// let offset = find_window(&Ecp::new(6), &faults, 16).unwrap();
 /// assert_eq!(offset, 1);
@@ -142,10 +158,24 @@ impl fmt::Debug for dyn HardErrorScheme {
 /// # Panics
 ///
 /// Panics if `window_bytes` is 0 or greater than 64.
+// pcm-audit: root(hotpath-alloc) — per-injection window search of the Fig. 9 Monte-Carlo; it reads the caller's positions in place
 pub fn find_window(
     scheme: &dyn HardErrorScheme,
     fault_positions: &[u16],
     window_bytes: usize,
+) -> Option<usize> {
+    find_window_from(scheme, fault_positions, window_bytes, 0)
+}
+
+/// [`find_window`], skipping the offsets before `from`. It returns what
+/// `find_window` returns whenever no window before `from` fits, as for a
+/// size wider than one whose first fit is at `from`: the wider window at
+/// any offset holds the narrower one at that offset (subset closure).
+pub(crate) fn find_window_from(
+    scheme: &dyn HardErrorScheme,
+    fault_positions: &[u16],
+    window_bytes: usize,
+    from: usize,
 ) -> Option<usize> {
     assert!(
         (1..=pcm_util::DATA_BYTES).contains(&window_bytes),
@@ -156,13 +186,20 @@ pub fn find_window(
         "positions must be sorted"
     );
     let guaranteed = scheme.guaranteed();
-    (0..=pcm_util::DATA_BYTES - window_bytes).find(|&offset| {
+    let mut offset = from;
+    while offset + window_bytes <= pcm_util::DATA_BYTES {
         let lo = (offset * 8) as u16;
         let hi = ((offset + window_bytes) * 8) as u16;
         let start = fault_positions.partition_point(|&p| p < lo);
         let end = fault_positions.partition_point(|&p| p < hi);
-        (end - start) as u32 <= guaranteed || scheme.can_store(&fault_positions[start..end])
-    })
+        if (end - start) as u32 <= guaranteed || scheme.can_store(&fault_positions[start..end]) {
+            return Some(offset);
+        }
+        // The window failed, so it is not empty (an empty window passes
+        // the guaranteed() check) and `start` indexes its first fault.
+        offset = usize::from(fault_positions[start] / 8) + 1;
+    }
+    None
 }
 
 #[cfg(test)]

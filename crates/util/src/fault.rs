@@ -83,11 +83,6 @@ impl FaultMap {
         self.positions.count_ones()
     }
 
-    /// Number of faulty cells within a bit range.
-    pub fn count_in(&self, range: std::ops::Range<usize>) -> u32 {
-        self.positions.count_ones_in(range)
-    }
-
     /// Returns `true` when the line has no faults.
     pub fn is_empty(&self) -> bool {
         self.positions.is_zero()
@@ -99,13 +94,6 @@ impl FaultMap {
             pos: pos as u16,
             value: self.values.bit(pos),
         })
-    }
-
-    /// Returns the faults whose positions fall within the bit range.
-    pub fn faults_in(&self, range: std::ops::Range<usize>) -> Vec<StuckAt> {
-        self.iter()
-            .filter(|f| range.contains(&(f.pos as usize)))
-            .collect()
     }
 
     /// The positions mask (bit set = faulty cell).
@@ -363,17 +351,6 @@ mod tests {
         });
         assert_eq!(m.count(), 1);
         assert_eq!(m.stuck_value(9), Some(true));
-    }
-
-    #[test]
-    fn count_in_window() {
-        let mut m = FaultMap::new();
-        for pos in [10u16, 20, 100, 300] {
-            m.insert(StuckAt { pos, value: true });
-        }
-        assert_eq!(m.count_in(0..64), 2);
-        assert_eq!(m.count_in(64..512), 2);
-        assert_eq!(m.faults_in(0..64).len(), 2);
     }
 
     #[test]

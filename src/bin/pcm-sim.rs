@@ -1,8 +1,8 @@
 //! `pcm-sim` — the workspace's command-line front end.
 //!
 //! ```text
-//! pcm-sim lifetime   --app milc --system compwf [--lines 96] [--endurance 2e4] [--cov 0.15] [--ecc ecp6]
-//! pcm-sim montecarlo --scheme safer32 --window 32 --errors 24 [--injections 10000]
+//! pcm-sim lifetime   --app milc --system compwf [--lines 96] [--endurance 2e4] [--cov 0.15] [--ecc ecp6] [--samples 16]
+//! pcm-sim montecarlo --ecc safer32 --window 32 --errors 24 [--injections 10000]
 //! pcm-sim compress   --app gcc [--writes 10000]
 //! pcm-sim stress     --app milc --system compwf [--lines 64] [--writes 50000] [--endurance 1e4]
 //! pcm-sim trace      --app milc --out trace.bin [--writes 10000] [--lines 256]
@@ -10,7 +10,8 @@
 //! ```
 //!
 //! Every subcommand accepts `--seed N` (default 2017) and prints a short,
-//! tab-separated report.
+//! tab-separated report. A malformed or out-of-range value is a usage
+//! error (exit 2) that names the flag.
 
 use collab_pcm::compress::compress_best;
 use collab_pcm::core::lifetime::{run_campaign, CampaignConfig, LineSimConfig};
@@ -20,6 +21,8 @@ use collab_pcm::ecc::montecarlo::{failure_probability, MonteCarlo};
 use collab_pcm::trace::calibrate::compression_stats;
 use collab_pcm::trace::{profile::ALL_APPS, SpecApp, Trace, TraceGenerator};
 use std::collections::HashMap;
+use std::fmt::Display;
+use std::ops::{Bound, RangeBounds};
 use std::process::exit;
 
 fn main() {
@@ -74,6 +77,29 @@ impl Opts {
         }
     }
 
+    /// [`num`](Self::num), which must also lie in `range`.
+    fn num_in<T, R>(&self, name: &str, default: T, range: R) -> T
+    where
+        T: std::str::FromStr + PartialOrd + Display,
+        R: RangeBounds<T>,
+    {
+        let value = self.num(name, default);
+        if !range.contains(&value) {
+            let want = match (range.start_bound(), range.end_bound()) {
+                (Bound::Included(lo), Bound::Included(hi)) => format!("in {lo}..={hi}"),
+                (Bound::Included(lo), _) => format!("at least {lo}"),
+                (_, Bound::Included(hi)) => format!("at most {hi}"),
+                _ => "in range".to_string(),
+            };
+            usage(&format!("--{name} must be {want}, got {value}"));
+        }
+        value
+    }
+
+    fn endurance(&self, default: f64) -> f64 {
+        self.num_in("endurance", default, 1.0..)
+    }
+
     fn seed(&self) -> u64 {
         self.num("seed", 2017)
     }
@@ -103,8 +129,8 @@ impl Opts {
 
     fn system_config(&self) -> SystemConfig {
         SystemConfig::new(self.system())
-            .with_endurance_mean(self.num("endurance", 2e4))
-            .with_endurance_cov(self.num("cov", 0.15))
+            .with_endurance_mean(self.endurance(2e4))
+            .with_endurance_cov(self.num_in("cov", 0.15, 0.0..))
             .with_ecc(self.ecc())
             .with_wear(self.wear())
     }
@@ -113,9 +139,9 @@ impl Opts {
 fn lifetime(opts: &Opts) {
     let app = opts.app();
     let mut line = LineSimConfig::new(opts.system_config(), app.profile());
-    line.sample_writes = opts.num("samples", 16u32);
+    line.sample_writes = opts.num_in("samples", 16u32, 1..);
     let mut cfg = CampaignConfig::new(line, opts.seed());
-    cfg.lines = opts.num("lines", 96usize);
+    cfg.lines = opts.num_in("lines", 96usize, 1..);
     let r = run_campaign(&cfg);
     println!("app\t{}", app.name());
     println!("system\t{}", opts.system());
@@ -131,16 +157,16 @@ fn lifetime(opts: &Opts) {
     println!("lines_revived\t{:.0}%", 100.0 * r.lines_revived);
     println!(
         "months_at_1e7\t{:.1}",
-        r.months(app.profile().wpki, 1e7 / opts.num("endurance", 2e4))
+        r.months(app.profile().wpki, 1e7 / opts.endurance(2e4))
     );
 }
 
 fn montecarlo(opts: &Opts) {
     let scheme = ecc_scheme(opts.ecc());
-    let window: usize = opts.num("window", 32);
-    let errors: usize = opts.num("errors", 16);
+    let window: usize = opts.num_in("window", 32, 1..=64);
+    let errors: usize = opts.num_in("errors", 16, ..=512);
     let mc = MonteCarlo {
-        injections: opts.num("injections", 10_000usize),
+        injections: opts.num_in("injections", 10_000usize, 1..),
         seed: opts.seed(),
         threads: 0,
     };
@@ -154,7 +180,7 @@ fn montecarlo(opts: &Opts) {
 fn compress(opts: &Opts) {
     let app = opts.app();
     let mut generator = TraceGenerator::from_profile(app.profile(), 512, opts.seed());
-    let stats = compression_stats(&mut generator, opts.num("writes", 10_000usize));
+    let stats = compression_stats(&mut generator, opts.num_in("writes", 10_000usize, 1..));
     println!("app\t{}", app.name());
     println!("bdi_mean_bytes\t{:.1}", stats.bdi_mean);
     println!("fpc_mean_bytes\t{:.1}", stats.fpc_mean);
@@ -165,11 +191,11 @@ fn compress(opts: &Opts) {
 
 fn stress(opts: &Opts) {
     let app = opts.app();
-    let lines: u64 = opts.num("lines", 64);
+    let lines: u64 = opts.num_in("lines", 64, 2..);
     let writes: u64 = opts.num("writes", 50_000);
     let mut memory = PcmMemory::new(
         opts.system_config()
-            .with_endurance_mean(opts.num("endurance", 1e4)),
+            .with_endurance_mean(opts.endurance(1e4)),
         lines,
         opts.seed(),
     );
@@ -200,7 +226,7 @@ fn trace(opts: &Opts) {
     let out = opts
         .get("out")
         .unwrap_or_else(|| usage("--out is required"));
-    let lines: u64 = opts.num("lines", 256);
+    let lines: u64 = opts.num_in("lines", 256, 1..);
     let writes: usize = opts.num("writes", 10_000);
     let mut generator = TraceGenerator::from_profile(app.profile(), lines, opts.seed());
     let trace = generator.generate(writes);
@@ -232,7 +258,7 @@ fn replay(opts: &Opts) {
         .max(2);
     let mut memory = PcmMemory::new(
         opts.system_config()
-            .with_endurance_mean(opts.num("endurance", 1e4)),
+            .with_endurance_mean(opts.endurance(1e4)),
         lines,
         opts.seed(),
     );
@@ -262,7 +288,7 @@ fn usage(msg: &str) -> ! {
     eprintln!(
         "pcm-sim — DSN'17 collaborative-compression PCM simulator\n\n\
          subcommands:\n\
-         \x20 lifetime   --app APP [--system S] [--lines N] [--endurance E] [--cov C] [--ecc E]\n\
+         \x20 lifetime   --app APP [--system S] [--lines N] [--endurance E] [--cov C] [--ecc E] [--samples N]\n\
          \x20 montecarlo [--ecc E] [--window B] [--errors K] [--injections N]\n\
          \x20 compress   --app APP [--writes N]\n\
          \x20 stress     --app APP [--system S] [--lines N] [--writes N] [--endurance E]\n\

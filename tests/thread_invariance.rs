@@ -6,6 +6,7 @@
 
 use collab_pcm::core::lifetime::{run_campaign, run_campaign_on, CampaignConfig, LineSimConfig};
 use collab_pcm::core::{SystemConfig, SystemKind};
+use collab_pcm::ecc::montecarlo::failure_surface;
 use collab_pcm::ecc::{failure_probability, Aegis, Ecp, MonteCarlo, Safer};
 use collab_pcm::trace::SpecApp;
 use collab_pcm::util::{child_seed, Pool};
@@ -72,6 +73,31 @@ fn monte_carlo_is_bit_identical_across_thread_counts() {
             p[0].to_bits() == p[1].to_bits() && p[0].to_bits() == p[2].to_bits(),
             "{name}: thread counts disagree: {p:?}"
         );
+        // A surface's jobs are (error count, batch) pairs that score every
+        // window on one draw; 3 threads split its 15 jobs unevenly.
+        let surfaces: Vec<Vec<u64>> = [1usize, 2, 3, 0]
+            .into_iter()
+            .map(|threads| {
+                let mc = MonteCarlo {
+                    injections: 5_000,
+                    seed: 0xC0FFEE,
+                    threads,
+                };
+                failure_surface(scheme, &[8, 32, 64], &[0, 9, 40], &mc)
+                    .probabilities
+                    .iter()
+                    .flatten()
+                    .map(|q| q.to_bits())
+                    .collect()
+            })
+            .collect();
+        for (i, threads) in [2usize, 3, 0].into_iter().enumerate() {
+            assert_eq!(
+                surfaces[0],
+                surfaces[i + 1],
+                "{name}: surface at 1 thread vs {threads}"
+            );
+        }
     }
 }
 
