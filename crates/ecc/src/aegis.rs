@@ -14,18 +14,28 @@
 //! Like SAFER, each group carries an inversion bit that makes its (single)
 //! stuck cell agree with the data.
 //!
-//! The partition search tests every partition in one pass over the faults.
-//! Each cell has a table row of 32 lane words, one per partition: lane
-//! `k ≤ t` is `1 << g` for the cell's group `g` under partition `k`, and
-//! the lanes past `t` are padding, always 0. Each fault ORs its row into
-//! per-lane occupancy words, after first collecting the bits already set
-//! there as collisions; the loop over a row has a fixed width and no
-//! branch, so the compiler vectorizes it for the baseline target. The
-//! search returns the *lowest* partition without a collision:
+//! The partition search tests every partition in one pass over the faults,
+//! and [`Aegis::find_partition`], `can_store` and `unstorable_suffix` all
+//! run that one pass. Each cell has a table row of 32 lane words, one per
+//! partition: lane `k ≤ t` is `1 << g` for the cell's group `g` under
+//! partition `k`, and the lanes past `t` are padding, always 0. The pass
+//! runs from the highest fault down. Each fault first sets bit `k` of a
+//! one-word clash mask wherever lane `k`'s occupancy word already holds
+//! its group, then ORs its row into the occupancy words; the loop over a
+//! row has a fixed width and no branch, so the compiler vectorizes it for
+//! the baseline target. The pass stops at the first fault that leaves all
+//! `t + 1` bits set: no partition separates the faults seen so far, and
+//! they are the shortest unstorable suffix, which `unstorable_suffix`
+//! hands to [`find_window`](crate::find_window) so it can skip past them.
+//! Padding lanes never collide, so the mask never has a bit past `t`.
+//!
+//! The search returns the *lowest* partition without a collision:
 //! [`Aegis::write`] stores that id in [`AegisCode`], so the choice shows in
 //! stored bits, cell flips and wear, and it must stay the partition a
-//! first-match scan over `0..=t` picks. Padding lanes never collide, so the
-//! search is cut at `t`.
+//! first-match scan over `0..=t` picks. It does: a partition clashes
+//! exactly when two of the faults share one of its groups, which does not
+//! depend on the order the faults come in, so the clash mask after every
+//! fault is the same as a forward pass's.
 
 use crate::scheme::{EccError, HardErrorScheme};
 use pcm_util::fault::FaultMap;
@@ -145,20 +155,36 @@ impl Aegis {
 
     /// Finds the lowest partition that puts every fault in its own group.
     pub fn find_partition(&self, fault_positions: &[u16]) -> Option<u32> {
-        if fault_positions.len() as u32 > self.u {
-            return None;
-        }
+        // `Ok` leaves a bit at or below t clear, and the padding bits
+        // above t are never set, so the lowest clear bit is a partition.
+        let clashed = self.scan_down(fault_positions).ok()?;
+        Some((!clashed).trailing_zeros())
+    }
+
+    /// The one partition search, from the highest fault down.
+    ///
+    /// Each fault's row first marks, in `clashed`, the partitions whose
+    /// occupancy word already holds its group, then ORs itself into the
+    /// occupancy words. So after fault `i`, `clashed` holds the partitions
+    /// with two of `fault_positions[i..]` in one group. Returns `Err(i)`
+    /// at the first fault that leaves all `t + 1` bits set (the shortest
+    /// unstorable suffix), or `Ok(clashed)` over all faults.
+    fn scan_down(&self, fault_positions: &[u16]) -> Result<u32, usize> {
+        // t + 1 low bits; t = 31 fills the word, so no `1 << (t + 1)`.
+        let all = u32::MAX >> (31 - self.t);
         let mut seen = [0u32; LANES];
-        let mut clash = [0u32; LANES];
-        for &pos in fault_positions {
+        let mut clashed = 0u32;
+        for (i, &pos) in fault_positions.iter().enumerate().rev() {
             let row = &self.lanes[pos as usize];
             for k in 0..LANES {
-                clash[k] |= seen[k] & row[k];
+                clashed |= u32::from(seen[k] & row[k] != 0) << k;
                 seen[k] |= row[k];
             }
+            if clashed == all {
+                return Err(i);
+            }
         }
-        // Padding lanes never collide, so the scan must stop at t.
-        (0..=self.t).find(|&k| clash[k as usize] == 0)
+        Ok(clashed)
     }
 
     /// Stores `data` into a line with the given faults; see
@@ -262,7 +288,11 @@ impl HardErrorScheme for Aegis {
     }
 
     fn can_store(&self, fault_positions: &[u16]) -> bool {
-        self.find_partition(fault_positions).is_some()
+        self.scan_down(fault_positions).is_ok()
+    }
+
+    fn unstorable_suffix(&self, fault_positions: &[u16]) -> Option<usize> {
+        self.scan_down(fault_positions).err()
     }
 }
 

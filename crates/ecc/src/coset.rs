@@ -138,6 +138,10 @@ impl HardErrorScheme for Coset {
         self.inner.can_store(fault_positions)
     }
 
+    fn unstorable_suffix(&self, fault_positions: &[u16]) -> Option<usize> {
+        self.inner.unstorable_suffix(fault_positions)
+    }
+
     fn transform_bits(&self) -> u32 {
         3
     }

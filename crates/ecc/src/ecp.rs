@@ -141,6 +141,11 @@ impl HardErrorScheme for Ecp {
     fn can_store(&self, fault_positions: &[u16]) -> bool {
         fault_positions.len() as u32 <= self.entries
     }
+
+    fn unstorable_suffix(&self, fault_positions: &[u16]) -> Option<usize> {
+        // Any `entries + 1` faults overflow the pointers, and no fewer do.
+        fault_positions.len().checked_sub(self.entries as usize + 1)
+    }
 }
 
 impl std::fmt::Display for Ecp {

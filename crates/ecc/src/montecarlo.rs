@@ -221,7 +221,7 @@ pub fn failure_surface(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{find_window, Aegis, Ecp, Safer};
+    use crate::{find_window, Aegis, Coset, Ecp, Safer, Secded};
 
     fn quick_mc() -> MonteCarlo {
         MonteCarlo {
@@ -382,13 +382,20 @@ mod tests {
 
     #[test]
     fn injection_verdict_matches_find_window() {
-        // Random fault sets of widely varying density, several schemes
-        // and window sizes: neither find_window's guaranteed() shortcut
-        // nor its skip past a failed window's first faulty byte may change
-        // the offset a plain per-offset can_store scan finds. Up to ~160
-        // faults, most narrow windows fail somewhere, so the skip fires.
-        let schemes: [&dyn HardErrorScheme; 3] =
-            [&Ecp::new(6), &Safer::new(32), &Aegis::new(17, 31)];
+        // Random fault sets of widely varying density, every scheme's
+        // unstorable_suffix override and several window sizes: neither
+        // find_window's guaranteed() shortcut nor its skip past a failed
+        // window's unstorable suffix may change the offset a plain
+        // per-offset can_store scan finds. Up to ~160 faults, most narrow
+        // windows fail somewhere, so the skip fires.
+        let schemes: [&dyn HardErrorScheme; 6] = [
+            &Ecp::new(6),
+            &Safer::new(32),
+            &Aegis::new(17, 31),
+            &Secded::new(),
+            &Coset::new(),
+            &Ecp::new(8),
+        ];
         let mut rng = seeded_rng(0xF16_9);
         for scheme in schemes {
             for window_bytes in [1usize, 8, 16, 32, 48, 64] {

@@ -11,6 +11,18 @@
 //! `can_store` performs the oracle feasibility check — *does any of the
 //! C(9, k) index-bit subsets isolate every fault in its own group?* — which
 //! is what the paper's Monte-Carlo experiment (Fig. 9b) measures.
+//!
+//! [`Safer::find_partition`], `can_store` and `unstorable_suffix` run one
+//! partition search. A subset isolates every fault iff it separates every
+//! pair, so the search intersects precomputed per-pair separator sets,
+//! one row of pairs per fault, from the highest fault down. It stops at
+//! the first row that leaves no subset: the faults from that row on are
+//! the shortest unstorable suffix, which `unstorable_suffix` hands to
+//! [`find_window`](crate::find_window) so it can skip past them. The
+//! surviving subsets after all rows do not depend on the order the pairs
+//! come in, so the lowest one, which [`Safer::write`] stores in
+//! [`SaferCode`], is still the subset a first-match scan over the subset
+//! list picks.
 
 use crate::scheme::{EccError, HardErrorScheme};
 use pcm_util::fault::FaultMap;
@@ -148,30 +160,10 @@ impl Safer {
 
     /// Finds an index-bit subset that puts every fault in its own group.
     ///
-    /// Returns the subset mask, or `None` if no partition isolates all
-    /// faults.
+    /// Returns the lowest such subset mask in the subset list, or `None`
+    /// if no partition isolates all faults.
     pub fn find_partition(&self, fault_positions: &[u16]) -> Option<u16> {
-        if fault_positions.len() as u32 > self.groups {
-            return None;
-        }
-        // Two positions land in the same group exactly when the subset
-        // selects none of the bits where they differ: `(a ^ b) & mask == 0`.
-        // So a subset isolates every fault iff it separates every *pair*;
-        // intersect the precomputed per-pair separator sets and return the
-        // first survivor, which is the same subset the direct first-match
-        // scan over `self.subsets` would have found.
-        let tables = subset_tables(self.groups.trailing_zeros());
-        let mut alive = [u64::MAX; 2];
-        for (i, &a) in fault_positions.iter().enumerate() {
-            for &b in &fault_positions[i + 1..] {
-                let sep = &tables.separators[(a ^ b) as usize];
-                alive[0] &= sep[0];
-                alive[1] &= sep[1];
-                if alive == [0, 0] {
-                    return None;
-                }
-            }
-        }
+        let alive = self.scan_down(fault_positions).ok()?;
         let idx = if alive[0] != 0 {
             alive[0].trailing_zeros() as usize
         } else {
@@ -181,6 +173,32 @@ impl Safer {
         // subset of a separator entry (no bits past the subset count); with
         // none, it is all-ones and `idx` is 0.
         self.subsets.get(idx).copied()
+    }
+
+    /// The one partition search, from the highest fault down.
+    ///
+    /// Two positions land in the same group exactly when the subset
+    /// selects none of the bits where they differ: `(a ^ b) & mask == 0`.
+    /// So a subset isolates every fault iff it separates every *pair*. Row
+    /// `i` intersects the separator sets of the pairs of fault `i` with
+    /// each later fault, so after row `i` the survivors are the subsets
+    /// that separate `fault_positions[i..]`. Returns `Err(i)` at the first
+    /// row that leaves none (the shortest unstorable suffix), or `Ok` with
+    /// the survivors over all faults.
+    fn scan_down(&self, fault_positions: &[u16]) -> Result<[u64; 2], usize> {
+        let tables = subset_tables(self.groups.trailing_zeros());
+        let mut alive = [u64::MAX; 2];
+        for (i, &a) in fault_positions.iter().enumerate().rev() {
+            for &b in &fault_positions[i + 1..] {
+                let sep = &tables.separators[(a ^ b) as usize];
+                alive[0] &= sep[0];
+                alive[1] &= sep[1];
+            }
+            if alive == [0, 0] {
+                return Err(i);
+            }
+        }
+        Ok(alive)
     }
 
     /// Stores `data` into a line with the given faults.
@@ -311,7 +329,11 @@ impl HardErrorScheme for Safer {
     }
 
     fn can_store(&self, fault_positions: &[u16]) -> bool {
-        self.find_partition(fault_positions).is_some()
+        self.scan_down(fault_positions).is_ok()
+    }
+
+    fn unstorable_suffix(&self, fault_positions: &[u16]) -> Option<usize> {
+        self.scan_down(fault_positions).err()
     }
 }
 

@@ -66,19 +66,42 @@ pub trait HardErrorScheme: Send + Sync {
     /// has already probed without asking again.
     ///
     /// The answer is also subset-closed: if a position set is storable,
-    /// so is every subset of it. Three callers rely on this:
+    /// so is every subset of it. Four pieces of code rely on this:
     ///
     /// * the window controller: a window that holds a payload holds any
     ///   shorter payload at the same offset, so one resurrection check on
     ///   the smallest payload form answers for every form;
+    /// * [`unstorable_suffix`](Self::unstorable_suffix): a failing set
+    ///   names one unstorable part of itself, and every superset of that
+    ///   part fails too;
     /// * [`find_window`]: after a window fails, it skips every later
-    ///   offset whose window still covers all of the failed window's
-    ///   faults;
+    ///   offset whose window still covers that unstorable part;
     /// * the Fig. 9 Monte-Carlo ([`crate::montecarlo::failure_surface`]):
     ///   it scores window sizes narrowest first, starts each wider size's
     ///   search at the narrower size's first fit, and stops at the first
     ///   size with no fit, counting every wider size as failed.
     fn can_store(&self, fault_positions: &[u16]) -> bool;
+
+    /// Returns `None` exactly when [`can_store`](Self::can_store) accepts
+    /// `fault_positions`, and otherwise `Some(s)` such that
+    /// `fault_positions[s..]` cannot be stored either. The larger `s`, the
+    /// shorter that suffix and the further [`find_window`] skips past a
+    /// failing window.
+    ///
+    /// Every in-tree scheme answers with the *shortest* unstorable suffix,
+    /// from one scan that runs from the highest fault down and stops as
+    /// soon as the faults seen so far cannot be stored. Since the empty
+    /// set is storable (it holds at most [`guaranteed`](Self::guaranteed)
+    /// faults), `s` is always below `fault_positions.len()`.
+    ///
+    /// The default, `(!self.can_store(p)).then_some(0)`, names the whole
+    /// set. It is exact for any implementor that has only `can_store`,
+    /// such as a wrapper that counts `can_store` calls; through it,
+    /// [`find_window`] probes the same offsets, in the same order, as a
+    /// search that knows only `can_store`.
+    fn unstorable_suffix(&self, fault_positions: &[u16]) -> Option<usize> {
+        (!self.can_store(fault_positions)).then_some(0)
+    }
 
     /// Payload-transform tag bits this scheme stores per line, *on top of*
     /// [`metadata_bits`](Self::metadata_bits)' correction state. Zero for
@@ -132,16 +155,19 @@ impl fmt::Debug for dyn HardErrorScheme {
 ///
 /// A window holding at most [`guaranteed`](HardErrorScheme::guaranteed)
 /// faults is feasible by the trait contract (deterministic correction
-/// regardless of position), so it is accepted without a
-/// [`can_store`](HardErrorScheme::can_store) call.
+/// regardless of position), so it is accepted without asking the scheme.
 ///
-/// A window that fails holds at least one fault, since an empty window
-/// always passes the `guaranteed()` check. Every later window that starts
-/// at or before the byte of that first fault still covers all of the
-/// failed window's faults, plus perhaps more, so it fails too by subset
-/// closure ([`can_store`](HardErrorScheme::can_store)). The search
-/// therefore resumes at the byte after the first fault, and the returned
-/// offset is still the one a plain per-offset scan returns.
+/// Any other window's faults go to
+/// [`unstorable_suffix`](HardErrorScheme::unstorable_suffix). When it
+/// answers `Some(s)`, the window's faults from index `s` on cannot be
+/// stored; that suffix is not empty, because the empty set holds at most
+/// `guaranteed()` faults. Let `b` be the byte of its first fault. Every
+/// later window that starts at or before `b` covers the suffix: it
+/// starts at or before `b` and ends after the failed window's end, past
+/// the suffix's last fault. So it fails too, by subset closure
+/// ([`can_store`](HardErrorScheme::can_store)). The search therefore
+/// resumes at byte `b + 1`, and the returned offset is still the one a
+/// plain per-offset scan returns.
 ///
 /// # Examples
 ///
@@ -192,12 +218,15 @@ pub(crate) fn find_window_from(
         let hi = ((offset + window_bytes) * 8) as u16;
         let start = fault_positions.partition_point(|&p| p < lo);
         let end = fault_positions.partition_point(|&p| p < hi);
-        if (end - start) as u32 <= guaranteed || scheme.can_store(&fault_positions[start..end]) {
+        if (end - start) as u32 <= guaranteed {
             return Some(offset);
         }
-        // The window failed, so it is not empty (an empty window passes
-        // the guaranteed() check) and `start` indexes its first fault.
-        offset = usize::from(fault_positions[start] / 8) + 1;
+        let Some(s) = scheme.unstorable_suffix(&fault_positions[start..end]) else {
+            return Some(offset);
+        };
+        // The suffix is not empty, so `start + s` indexes its first fault.
+        debug_assert!(s < end - start, "an unstorable suffix holds a fault");
+        offset = usize::from(fault_positions[start + s] / 8) + 1;
     }
     None
 }

@@ -221,15 +221,22 @@ impl HardErrorScheme for Secded {
     }
 
     fn can_store(&self, fault_positions: &[u16]) -> bool {
-        let mut per_word = [0u8; WORDS];
-        for &pos in fault_positions {
-            let w = (pos as usize) / 64;
-            per_word[w] += 1;
-            if per_word[w] > 1 {
-                return false;
+        self.unstorable_suffix(fault_positions).is_none()
+    }
+
+    fn unstorable_suffix(&self, fault_positions: &[u16]) -> Option<usize> {
+        // From the highest fault down, one bit per 64-bit word that
+        // already holds a fault: the first fault landing in a marked word
+        // starts the shortest suffix with two faults in one word.
+        let mut seen = 0u8;
+        for (i, &pos) in fault_positions.iter().enumerate().rev() {
+            let word = 1u8 << (pos / 64);
+            if seen & word != 0 {
+                return Some(i);
             }
+            seen |= word;
         }
-        true
+        None
     }
 }
 

@@ -137,6 +137,11 @@ impl Daemon {
     }
 
     /// Serves one byte stream (socket connection) to completion.
+    ///
+    /// # Errors
+    ///
+    /// Returns the stream's read or write error; the connection is then
+    /// unusable.
     // pcm-audit: root(panic-reach) — a malformed or adversarial frame must produce an error response, never a panic
     fn serve_stream<S: Read + Write>(&mut self, stream: &mut S) -> std::io::Result<()> {
         let mut decoder = FrameDecoder::new();
@@ -162,18 +167,31 @@ impl Daemon {
         }
     }
 
+    /// Serves connections from `accept`, one at a time in accept order,
+    /// until a SHUTDOWN frame arrives.
+    fn serve_each<S: Read + Write>(
+        &mut self,
+        mut accept: impl FnMut() -> std::io::Result<S>,
+    ) -> std::io::Result<()> {
+        while !self.shutdown {
+            let mut stream = accept()?;
+            // A client that vanishes or breaks its socket ends only its
+            // own connection: the frames already served stay applied, the
+            // banks keep their wear state, and the next client is served.
+            let _ = self.serve_stream(&mut stream);
+        }
+        Ok(())
+    }
+
     /// Accept loop over TCP: serves connections in accept order until a
-    /// SHUTDOWN frame arrives.
+    /// SHUTDOWN frame arrives. A read or write error on a connection
+    /// closes that connection only.
     ///
     /// # Errors
     ///
-    /// Propagates socket I/O errors.
+    /// Propagates the listener's `accept` errors.
     pub fn serve_tcp(&mut self, listener: &TcpListener) -> std::io::Result<()> {
-        while !self.shutdown {
-            let (mut stream, _) = listener.accept()?;
-            self.serve_stream(&mut stream)?;
-        }
-        Ok(())
+        self.serve_each(|| listener.accept().map(|(stream, _)| stream))
     }
 
     /// Accept loop over a Unix socket, same contract as
@@ -181,13 +199,9 @@ impl Daemon {
     ///
     /// # Errors
     ///
-    /// Propagates socket I/O errors.
+    /// Propagates the listener's `accept` errors.
     pub fn serve_unix(&mut self, listener: &UnixListener) -> std::io::Result<()> {
-        while !self.shutdown {
-            let (mut stream, _) = listener.accept()?;
-            self.serve_stream(&mut stream)?;
-        }
-        Ok(())
+        self.serve_each(|| listener.accept().map(|(stream, _)| stream))
     }
 }
 
@@ -265,5 +279,46 @@ mod tests {
         assert_eq!(status, STATUS_OK);
         let snap = server.join().expect("server thread");
         assert_eq!(snap.writes, 1);
+    }
+
+    #[test]
+    fn unix_client_that_closes_unread_ends_only_its_connection() {
+        use std::os::unix::net::UnixStream;
+        let path =
+            std::env::temp_dir().join(format!("pcm-serve-vanish-{}.sock", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let listener = UnixListener::bind(&path).expect("bind unix socket");
+        // Client A queues writes and closes before the daemon has read
+        // any of them, so the daemon's first response hits a closed peer.
+        // 100 frames (9.3 KB) span several 4 KiB reads yet fit the socket
+        // buffer, so the send completes with no daemon reading.
+        {
+            let mut a = UnixStream::connect(&path).expect("client A connects");
+            let wire: Vec<u8> = (0..100u64)
+                .flat_map(|i| encode_write(10 * i, i % 5, i % 7, &Line512::ones()))
+                .collect();
+            a.write_all(&wire).expect("client A sends");
+        }
+        let server = std::thread::spawn(move || {
+            let mut daemon = Daemon::new(ServeConfig::new(8));
+            let served = daemon.serve_unix(&listener);
+            (served, daemon.engine().snapshot())
+        });
+        let mut b = UnixStream::connect(&path).expect("client B connects");
+        let mut wire = encode_telemetry();
+        wire.extend(encode_shutdown());
+        b.write_all(&wire).expect("client B sends");
+        let mut got = Vec::new();
+        b.read_to_end(&mut got).expect("client B reads");
+        let (served, snap) = server.join().expect("server thread");
+        let _ = std::fs::remove_file(&path);
+        served.expect("serve_unix outlives a vanished client");
+        let (status, body, used) = decode_response(&got).expect("telemetry response");
+        assert_eq!(status, STATUS_OK);
+        let text = String::from_utf8(body.to_vec()).expect("utf8 telemetry");
+        assert!(text.contains(&format!("writes {}", snap.writes)), "{text}");
+        assert!(snap.writes > 0, "client A's served writes are kept");
+        let (status, _, _) = decode_response(&got[used..]).expect("shutdown ack");
+        assert_eq!(status, STATUS_OK);
     }
 }
