@@ -46,7 +46,7 @@ const ALLOC_MACROS: &[&str] = &["format", "vec"];
 const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
 /// Vendored dependency shims: their pub surface mirrors the upstream
 /// crates and is exempt from `pub-dead`.
-const SHIM_CRATES: &[&str] = &["rand", "serde", "serde_derive", "proptest", "criterion"];
+const SHIM_CRATES: &[&str] = &["rand", "serde", "serde_derive", "proptest"];
 
 /// One call site inside a fn body.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -153,7 +153,6 @@ impl Finding {
 
 /// Files whose whole point is measuring wall-clock time.
 const WALLCLOCK_ALLOW: &[&str] = &[
-    "crates/criterion/",
     "crates/bench/src/hotpath.rs",
     "crates/bench/src/registry.rs",
     "crates/bench/src/bin/pcm-lab.rs",

@@ -3,13 +3,22 @@
 //! `BENCH_hotpath.json` (DESIGN.md §9). With `--ratchet TRACKED.json` the
 //! fresh run is compared against a tracked report: checksum drift fails
 //! immediately, while a benchmark below its throughput floor is
-//! re-measured up to [`MAX_RERUNS`] more times (best reading wins) before
-//! the slowdown fails the process — the gate runs on shared machines, and
-//! a noisy reading deserves a second look where a changed result never
-//! does.
+//! re-measured up to [`MAX_RERUNS`](pcm_bench::ratchet::MAX_RERUNS) more
+//! times (best reading wins) before the slowdown fails the process — the
+//! gate runs on shared machines, and a noisy reading deserves a second
+//! look where a changed result never does.
+//!
+//! A tracked report that cannot be read or parsed, or an `--out` path
+//! that cannot be written, prints one `error:` line and exits 2, like a
+//! bad flag.
 
 use pcm_bench::hotpath::{run, HotpathOptions};
-use pcm_bench::ratchet::{check_with_reruns, RatchetOutcome, TrackedReport, MAX_RERUNS};
+use pcm_bench::ratchet::{check_with_reruns, RatchetOutcome, TrackedReport};
+
+fn fail(msg: &str) -> ! {
+    eprintln!("error: {msg}");
+    std::process::exit(2);
+}
 
 fn main() {
     let opts = HotpathOptions::from_args();
@@ -18,13 +27,13 @@ fn main() {
     // it), so the old contents must be captured before the write below.
     let tracked = opts.ratchet.as_ref().map(|path| {
         let tracked_json = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| panic!("cannot read tracked report {path}: {e}"));
+            .unwrap_or_else(|e| fail(&format!("cannot read tracked report {path}: {e}")));
         TrackedReport::parse(&tracked_json)
-            .unwrap_or_else(|e| panic!("cannot parse tracked report {path}: {e}"))
+            .unwrap_or_else(|e| fail(&format!("cannot parse tracked report {path}: {e}")))
     });
     let mut report = run(&opts);
     let outcome: Option<RatchetOutcome> = tracked.as_ref().map(|tracked| {
-        check_with_reruns(&mut report, tracked, opts.ratchet_min, MAX_RERUNS, |slow| {
+        check_with_reruns(&mut report, tracked, |slow| {
             println!(
                 "ratchet: re-measuring {} below-floor bench(es): {}",
                 slow.len(),
@@ -36,7 +45,8 @@ fn main() {
     // Written after the retry loop so the refreshed report carries the
     // best reading per bench, not the noisy first attempt.
     let json = report.to_json(true);
-    std::fs::write(&opts.out, &json).unwrap_or_else(|e| panic!("cannot write {}: {e}", opts.out));
+    std::fs::write(&opts.out, &json)
+        .unwrap_or_else(|e| fail(&format!("cannot write {}: {e}", opts.out)));
     println!(
         "wrote {} ({} benches, {} campaigns)",
         opts.out,

@@ -6,8 +6,8 @@
 //!
 //! 1. `compress_best` throughput (lines/sec) over workload-shaped and
 //!    random content,
-//! 2. `Line512` kernels — XOR/popcount, windowed popcount, byte rotation,
-//!    differential-write and Flip-N-Write encoding,
+//! 2. `Line512` kernels — XOR/popcount, differential-write and
+//!    Flip-N-Write encoding,
 //! 3. `simulate_line` throughput (simulated demand writes/sec) per
 //!    `SystemKind` × `EccChoice`, plus one campaign pool job — a full
 //!    64-seed `simulate_line_batch` call (`campaign/batch`),
@@ -22,8 +22,11 @@
 //! the determinism regression test diffs exactly that (JSON with timing
 //! lines stripped), and an optimized kernel that changes any observable
 //! value is caught immediately.
+//!
+//! One private function, `measure`, times every micro-benchmark: it
+//! calibrates a batch, takes the median and MAD of the per-iteration time
+//! over the run's batches, and returns the benchmark's whole report entry.
 
-use criterion::{Criterion, Throughput};
 use pcm_core::lifetime::{
     run_campaign, simulate_line, simulate_line_batch, CampaignConfig, LineScratch, LineSimConfig,
 };
@@ -32,6 +35,7 @@ use pcm_device::{diff_write, FlipNWrite};
 use pcm_serve::{Engine, ServeConfig, TrafficGen};
 use pcm_trace::{BlockStream, SpecApp};
 use pcm_util::{child_seed, seeded_rng, Line512, Pool, BATCH_LANES};
+use std::hint::black_box;
 use std::time::{Duration, Instant};
 
 /// Options of the `pcm-bench-hotpath` binary.
@@ -48,8 +52,6 @@ pub struct HotpathOptions {
     /// Tracked report to ratchet against (see [`crate::ratchet`]); none
     /// skips the comparison.
     pub ratchet: Option<String>,
-    /// Throughput floor factor for the ratchet comparison.
-    pub ratchet_min: f64,
 }
 
 impl Default for HotpathOptions {
@@ -60,23 +62,19 @@ impl Default for HotpathOptions {
             threads: 0,
             out: "BENCH_hotpath.json".into(),
             ratchet: None,
-            ratchet_min: crate::ratchet::DEFAULT_MIN_RATIO,
         }
     }
 }
 
 impl HotpathOptions {
-    /// Parses `--smoke`, `--seed N`, `--threads N|auto`, `--out PATH` from
-    /// the process arguments.
+    /// Parses `--smoke`, `--seed N`, `--threads N|auto`, `--out PATH` and
+    /// `--ratchet PATH` from the process arguments.
     pub fn from_args() -> Self {
         Self::parse(std::env::args().skip(1))
     }
 
-    /// Parses options from an explicit iterator (testable).
-    ///
-    /// # Panics
-    ///
-    /// Panics on unknown flags or malformed values.
+    /// Parses options from an explicit iterator (testable). An unknown
+    /// flag or a malformed value prints the usage line and exits 2.
     pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Self {
         let mut opts = HotpathOptions::default();
         let mut it = args.into_iter();
@@ -107,16 +105,6 @@ impl HotpathOptions {
                     opts.ratchet =
                         Some(it.next().unwrap_or_else(|| usage("--ratchet needs a path")));
                 }
-                "--ratchet-min" => {
-                    let v = it
-                        .next()
-                        .unwrap_or_else(|| usage("--ratchet-min needs a value"));
-                    opts.ratchet_min = v
-                        .parse()
-                        .ok()
-                        .filter(|r: &f64| r.is_finite() && *r > 0.0)
-                        .unwrap_or_else(|| usage("--ratchet-min needs a positive number"));
-                }
                 "--help" | "-h" => usage(""),
                 other => usage(&format!("unknown flag '{other}'")),
             }
@@ -131,7 +119,7 @@ fn usage(msg: &str) -> ! {
     }
     eprintln!(
         "usage: pcm-bench-hotpath [--smoke] [--seed N] [--threads N|auto] [--out PATH] \
-         [--ratchet TRACKED.json] [--ratchet-min F]"
+         [--ratchet TRACKED.json]"
     );
     std::process::exit(if msg.is_empty() { 0 } else { 2 });
 }
@@ -266,17 +254,98 @@ fn linesim_matrix(smoke: bool) -> Vec<(SystemKind, EccChoice)> {
     out
 }
 
+/// Batch target and sample count shared by every micro-benchmark of a run.
+#[derive(Debug, Clone, Copy)]
+struct Timing {
+    /// Minimum wall time of the calibrated batch.
+    batch: Duration,
+    /// Measured batches per benchmark (the median/MAD sample count).
+    batches: usize,
+}
+
+fn median(sorted: &[f64]) -> f64 {
+    let n = sorted.len();
+    if n == 0 {
+        return 0.0;
+    }
+    if n % 2 == 1 {
+        sorted[n / 2]
+    } else {
+        (sorted[n / 2 - 1] + sorted[n / 2]) / 2.0
+    }
+}
+
+/// Times `routine`, prints its `bench:` line and returns its report entry.
+///
+/// The iteration count rises ×4 from 1 until one batch lasts
+/// `timing.batch` or reaches 2^20 iterations; that batch is the first
+/// sample, and `timing.batches − 1` more are timed at the same count. The
+/// entry carries the median and MAD of the per-iteration nanoseconds, and
+/// `elements` (the work of one iteration, in `unit`s) over the median as
+/// its throughput.
+fn measure<O>(
+    timing: Timing,
+    id: &str,
+    unit: &'static str,
+    elements: u64,
+    checksum: u64,
+    mut routine: impl FnMut() -> O,
+) -> BenchEntry {
+    let mut samples: Vec<f64> = Vec::with_capacity(timing.batches);
+    let mut iters = 1u64;
+    loop {
+        let start = Instant::now();
+        for _ in 0..iters {
+            black_box(routine());
+        }
+        let elapsed = start.elapsed();
+        if elapsed >= timing.batch || iters >= 1 << 20 {
+            samples.push(elapsed.as_nanos() as f64 / iters as f64);
+            break;
+        }
+        iters *= 4;
+    }
+    for _ in 1..timing.batches {
+        let start = Instant::now();
+        for _ in 0..iters {
+            black_box(routine());
+        }
+        samples.push(start.elapsed().as_nanos() as f64 / iters as f64);
+    }
+    samples.sort_by(f64::total_cmp);
+    let median_ns = median(&samples);
+    let mut devs: Vec<f64> = samples.iter().map(|s| (s - median_ns).abs()).collect();
+    devs.sort_by(f64::total_cmp);
+    let mad_ns = median(&devs);
+    println!(
+        "bench: {id:<48} {median_ns:>12.1} ns/iter (±{mad_ns:.1} MAD, {iters} iters × {} batches)",
+        timing.batches
+    );
+    BenchEntry {
+        id: id.to_string(),
+        unit,
+        checksum,
+        iters,
+        median_ns,
+        mad_ns,
+        per_second: (median_ns > 0.0).then(|| elements as f64 * 1e9 / median_ns),
+    }
+}
+
 /// Runs the full hot-path suite and returns the report.
 pub fn run(opts: &HotpathOptions) -> HotpathReport {
-    let (batch, batches) = if opts.smoke {
-        (Duration::from_millis(2), 3)
+    let t = if opts.smoke {
+        Timing {
+            batch: Duration::from_millis(2),
+            batches: 3,
+        }
     } else {
-        (Duration::from_millis(100), 5)
+        Timing {
+            batch: Duration::from_millis(100),
+            batches: 5,
+        }
     };
-    let mut c = Criterion::default()
-        .measurement_time(batch)
-        .sample_size(batches);
-    let mut entries: Vec<(&'static str, u64)> = Vec::new(); // (unit, checksum) per bench
+    let mut benches = Vec::new();
 
     // --- 1. compress_best lines/sec ------------------------------------
     let per_app = if opts.smoke { 64 } else { 512 };
@@ -290,17 +359,18 @@ pub fn run(opts: &HotpathOptions) -> HotpathReport {
             let c = pcm_compress::compress_best(l);
             mix(mix(h, c.method().encode_5bit() as u64), c.size() as u64)
         });
-        let mut g = c.benchmark_group("compress_best");
-        g.throughput(Throughput::Elements(lines.len() as u64));
-        g.bench_function(name, |b| {
-            b.iter(|| {
+        benches.push(measure(
+            t,
+            &format!("compress_best/{name}"),
+            "lines",
+            lines.len() as u64,
+            checksum,
+            || {
                 lines
                     .iter()
                     .fold(0usize, |acc, l| acc + pcm_compress::compress_best(l).size())
-            })
-        });
-        g.finish();
-        entries.push(("lines", checksum));
+            },
+        ));
     }
 
     // --- 2. Line512 kernels --------------------------------------------
@@ -310,97 +380,60 @@ pub fn run(opts: &HotpathOptions) -> HotpathReport {
             .map(|_| (Line512::random(&mut rng), Line512::random(&mut rng)))
             .collect()
     };
-    {
-        let checksum = pairs
-            .iter()
-            .fold(0u64, |h, (a, b)| mix(h, a.hamming_distance(b) as u64));
-        let mut g = c.benchmark_group("kernels");
-        g.throughput(Throughput::Elements(pairs.len() as u64));
-        g.bench_function("xor_popcount", |b| {
-            b.iter(|| {
-                pairs
-                    .iter()
-                    .map(|(x, y)| x.hamming_distance(y))
-                    .sum::<u32>()
-            })
-        });
-        g.finish();
-        entries.push(("ops", checksum));
-    }
-    {
-        let checksum = pairs.iter().enumerate().fold(0u64, |h, (i, (a, _))| {
-            mix(
-                h,
-                a.count_ones_in((i * 7) % 300..(i * 7) % 300 + 200) as u64,
-            )
-        });
-        let mut g = c.benchmark_group("kernels");
-        g.throughput(Throughput::Elements(pairs.len() as u64));
-        g.bench_function("window_popcount", |b| {
-            b.iter(|| {
-                pairs
-                    .iter()
-                    .enumerate()
-                    .map(|(i, (x, _))| x.count_ones_in((i * 7) % 300..(i * 7) % 300 + 200))
-                    .sum::<u32>()
-            })
-        });
-        g.finish();
-        entries.push(("ops", checksum));
-    }
-    {
-        let checksum = pairs.iter().enumerate().fold(0u64, |h, (i, (a, _))| {
-            mix(h, a.rotate_left_bytes(i % 64).words()[0])
-        });
-        let mut g = c.benchmark_group("kernels");
-        g.throughput(Throughput::Elements(pairs.len() as u64));
-        g.bench_function("rotate_bytes", |b| {
-            b.iter(|| {
-                pairs.iter().enumerate().fold(0u64, |acc, (i, (x, _))| {
-                    acc ^ x.rotate_left_bytes(i % 64).words()[0]
-                })
-            })
-        });
-        g.finish();
-        entries.push(("ops", checksum));
-    }
-    {
-        let checksum = pairs
-            .iter()
-            .fold(0u64, |h, (a, b)| mix(h, diff_write(a, b).flips() as u64));
-        let mut g = c.benchmark_group("kernels");
-        g.throughput(Throughput::Elements(pairs.len() as u64));
-        g.bench_function("diff_write", |b| {
-            b.iter(|| {
-                pairs
-                    .iter()
-                    .map(|(x, y)| diff_write(x, y).flips())
-                    .sum::<u32>()
-            })
-        });
-        g.finish();
-        entries.push(("ops", checksum));
-    }
-    {
-        let run_fnw = || {
-            let mut fnw = FlipNWrite::new(8);
-            let mut stored = Line512::zero();
-            let mut flips = 0u32;
-            for (_, data) in &pairs {
-                let (next, f) = fnw.write(&stored, data);
-                stored = next;
-                flips += f;
-            }
-            (flips, stored)
-        };
-        let (flips, stored) = run_fnw();
-        let checksum = mix(mix(0, flips as u64), stored.words()[0]);
-        let mut g = c.benchmark_group("kernels");
-        g.throughput(Throughput::Elements(pairs.len() as u64));
-        g.bench_function("flip_n_write", |b| b.iter(run_fnw));
-        g.finish();
-        entries.push(("ops", checksum));
-    }
+    let n_pairs = pairs.len() as u64;
+    let checksum = pairs
+        .iter()
+        .fold(0u64, |h, (a, b)| mix(h, a.hamming_distance(b) as u64));
+    benches.push(measure(
+        t,
+        "kernels/xor_popcount",
+        "ops",
+        n_pairs,
+        checksum,
+        || {
+            pairs
+                .iter()
+                .map(|(x, y)| x.hamming_distance(y))
+                .sum::<u32>()
+        },
+    ));
+    let checksum = pairs
+        .iter()
+        .fold(0u64, |h, (a, b)| mix(h, diff_write(a, b).flips() as u64));
+    benches.push(measure(
+        t,
+        "kernels/diff_write",
+        "ops",
+        n_pairs,
+        checksum,
+        || {
+            pairs
+                .iter()
+                .map(|(x, y)| diff_write(x, y).flips())
+                .sum::<u32>()
+        },
+    ));
+    let run_fnw = || {
+        let mut fnw = FlipNWrite::new(8);
+        let mut stored = Line512::zero();
+        let mut flips = 0u32;
+        for (_, data) in &pairs {
+            let (next, f) = fnw.write(&stored, data);
+            stored = next;
+            flips += f;
+        }
+        (flips, stored)
+    };
+    let (flips, stored) = run_fnw();
+    let checksum = mix(mix(0, flips as u64), stored.words()[0]);
+    benches.push(measure(
+        t,
+        "kernels/flip_n_write",
+        "ops",
+        n_pairs,
+        checksum,
+        run_fnw,
+    ));
 
     // --- 3. linesim writes/sec per SystemKind × EccChoice --------------
     let endurance = if opts.smoke { 300.0 } else { 2_000.0 };
@@ -411,14 +444,14 @@ pub fn run(opts: &HotpathOptions) -> HotpathReport {
         let cfg = LineSimConfig::new(system, SpecApp::Milc.profile());
         let seed = child_seed(opts.seed, 300);
         let rec = simulate_line(&cfg, seed);
-        let checksum = record_checksum(&rec);
-        let mut g = c.benchmark_group("linesim");
-        g.throughput(Throughput::Elements(rec.demand_writes));
-        g.bench_function(format!("{kind}/{ecc}"), |b| {
-            b.iter(|| simulate_line(&cfg, seed).demand_writes)
-        });
-        g.finish();
-        entries.push(("writes", checksum));
+        benches.push(measure(
+            t,
+            &format!("linesim/{kind}/{ecc}"),
+            "writes",
+            rec.demand_writes,
+            record_checksum(&rec),
+            || simulate_line(&cfg, seed).demand_writes,
+        ));
     }
 
     // --- 3b. campaign pool job: one batch through simulate_line_batch -
@@ -438,18 +471,19 @@ pub fn run(opts: &HotpathOptions) -> HotpathReport {
         let recs = simulate_line_batch(&cfg, &seeds, &mut scratch);
         let demand: u64 = recs.iter().map(|r| r.demand_writes).sum();
         let checksum = recs.iter().fold(0u64, |h, r| mix(h, record_checksum(r)));
-        let mut g = c.benchmark_group("campaign");
-        g.throughput(Throughput::Elements(demand));
-        g.bench_function("batch", |b| {
-            b.iter(|| {
+        benches.push(measure(
+            t,
+            "campaign/batch",
+            "writes",
+            demand,
+            checksum,
+            || {
                 simulate_line_batch(&cfg, &seeds, &mut scratch)
                     .iter()
                     .map(|r| r.demand_writes)
                     .sum::<u64>()
-            })
-        });
-        g.finish();
-        entries.push(("writes", checksum));
+            },
+        ));
     }
 
     // --- 4. scheduler: pool scaling, balanced vs. skewed job cost ------
@@ -483,11 +517,14 @@ pub fn run(opts: &HotpathOptions) -> HotpathReport {
                 .fold(0u64, mix)
             };
             let checksum = run_pool();
-            let mut g = c.benchmark_group("scheduler");
-            g.throughput(Throughput::Elements(jobs as u64));
-            g.bench_function(format!("{shape}/t{threads}"), |b| b.iter(run_pool));
-            g.finish();
-            entries.push(("jobs", checksum));
+            benches.push(measure(
+                t,
+                &format!("scheduler/{shape}/t{threads}"),
+                "jobs",
+                jobs as u64,
+                checksum,
+                run_pool,
+            ));
         }
     }
 
@@ -519,40 +556,20 @@ pub fn run(opts: &HotpathOptions) -> HotpathReport {
         checksum = mix(checksum, snap.dead_lines);
         checksum = mix(mix(mix(checksum, snap.p50), snap.p99), snap.p999);
         checksum = mix_f64(checksum, snap.compressed_fraction);
-        let mut g = c.benchmark_group("serve");
-        g.throughput(Throughput::Elements(script.len() as u64));
-        g.bench_function("script", |b| {
-            b.iter(|| {
+        benches.push(measure(
+            t,
+            "serve/script",
+            "writes",
+            script.len() as u64,
+            checksum,
+            || {
                 run_serve()
                     .wear_digests()
                     .iter()
                     .fold(0u64, |h, &d| mix(h, d))
-            })
-        });
-        g.finish();
-        entries.push(("writes", checksum));
+            },
+        ));
     }
-
-    // --- micro-bench entries -------------------------------------------
-    assert_eq!(
-        c.results().len(),
-        entries.len(),
-        "bench/checksum bookkeeping out of sync"
-    );
-    let benches: Vec<BenchEntry> = c
-        .results()
-        .iter()
-        .zip(&entries)
-        .map(|(r, &(unit, checksum))| BenchEntry {
-            id: r.id.clone(),
-            unit,
-            checksum,
-            iters: r.iters,
-            median_ns: r.median_ns,
-            mad_ns: r.mad_ns,
-            per_second: r.per_second(),
-        })
-        .collect();
 
     // --- 5. end-to-end campaign wall-clock -----------------------------
     let mut campaigns = Vec::new();
@@ -585,7 +602,7 @@ pub fn run(opts: &HotpathOptions) -> HotpathReport {
         seed: opts.seed,
         smoke: opts.smoke,
         threads: opts.threads,
-        batches,
+        batches: t.batches,
         benches,
         campaigns,
     }
@@ -727,14 +744,32 @@ mod tests {
         assert_eq!(o.threads, 2);
         assert_eq!(o.out, "x.json");
         assert_eq!(o.ratchet, None);
-        assert_eq!(o.ratchet_min, crate::ratchet::DEFAULT_MIN_RATIO);
         let auto = HotpathOptions::parse(["--threads", "auto"].map(String::from));
         assert_eq!(auto.threads, 0);
-        let r = HotpathOptions::parse(
-            ["--ratchet", "tracked.json", "--ratchet-min", "0.25"].map(String::from),
-        );
+        let r = HotpathOptions::parse(["--ratchet", "tracked.json"].map(String::from));
         assert_eq!(r.ratchet.as_deref(), Some("tracked.json"));
-        assert_eq!(r.ratchet_min, 0.25);
+    }
+
+    #[test]
+    fn median_of_samples() {
+        assert_eq!(median(&[]), 0.0);
+        assert_eq!(median(&[3.0]), 3.0);
+        assert_eq!(median(&[1.0, 3.0]), 2.0);
+        assert_eq!(median(&[1.0, 2.0, 9.0]), 2.0);
+    }
+
+    #[test]
+    fn measure_returns_the_whole_entry() {
+        let timing = Timing {
+            batch: Duration::from_micros(200),
+            batches: 3,
+        };
+        let e = measure(timing, "g/ten", "ops", 10, 42, || (0..10u64).sum::<u64>());
+        assert_eq!((e.id.as_str(), e.unit, e.checksum), ("g/ten", "ops", 42));
+        assert!(e.iters >= 1);
+        assert!(e.median_ns > 0.0);
+        assert!(e.mad_ns >= 0.0);
+        assert_eq!(e.per_second, Some(10.0 * 1e9 / e.median_ns));
     }
 
     #[test]

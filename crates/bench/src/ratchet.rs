@@ -6,8 +6,8 @@
 //! closes that hole: `pcm-bench-hotpath --ratchet PATH` compares the run
 //! it just produced against a tracked report (`BENCH_hotpath.json` or the
 //! smoke-mode twin) and fails when a ratcheted benchmark falls below
-//! `--ratchet-min` (default 0.5) of its tracked throughput, or when any
-//! checksum drifts — a perf floor may move, a result never may.
+//! [`MIN_RATIO`] (0.5) of its tracked throughput, or when any checksum
+//! drifts — a perf floor may move, a result never may.
 //!
 //! Only the kernel-shaped groups are ratcheted ([`RATCHET_PREFIXES`]):
 //! `scheduler/*` and `compress_best/*` wobble with container load and the
@@ -23,8 +23,8 @@ use crate::hotpath::HotpathReport;
 /// Benchmark id prefixes the ratchet enforces a throughput floor on.
 pub const RATCHET_PREFIXES: [&str; 4] = ["linesim/", "kernels/", "campaign/", "serve/"];
 
-/// Default throughput floor: current must reach half the tracked rate.
-pub const DEFAULT_MIN_RATIO: f64 = 0.5;
+/// Throughput floor: current must reach half the tracked rate.
+pub const MIN_RATIO: f64 = 0.5;
 
 /// Maximum fresh readings [`check_with_reruns`] takes for a benchmark
 /// that came in below its throughput floor.
@@ -147,12 +147,12 @@ fn ratcheted(id: &str) -> bool {
 /// * smoke-mode flags must match (a smoke run against the full-scale
 ///   floor would pass or fail meaninglessly),
 /// * every ratcheted benchmark present in both must keep its checksum
-///   bit-identical and reach `min_ratio ×` the tracked throughput,
+///   bit-identical and reach [`MIN_RATIO`] × the tracked throughput,
 /// * a ratcheted benchmark that disappeared from the current run fails
 ///   (deleting a benchmark must move the tracked file, not skip the
 ///   floor); a new benchmark with no tracked floor is reported but
 ///   passes.
-pub fn check(current: &HotpathReport, tracked: &TrackedReport, min_ratio: f64) -> RatchetOutcome {
+pub fn check(current: &HotpathReport, tracked: &TrackedReport) -> RatchetOutcome {
     let mut out = RatchetOutcome::default();
     if current.smoke != tracked.smoke {
         out.failures.push(format!(
@@ -179,10 +179,10 @@ pub fn check(current: &HotpathReport, tracked: &TrackedReport, min_ratio: f64) -
         match (b.per_second, t.per_second) {
             (Some(cur), Some(floor)) if floor > 0.0 => {
                 let ratio = cur / floor;
-                if ratio < min_ratio {
+                if ratio < MIN_RATIO {
                     let msg = format!(
                         "ratchet: {:<28} SLOWDOWN {:.2}x of tracked ({:.3e}/s vs {:.3e}/s, floor {:.2}x)",
-                        b.id, ratio, cur, floor, min_ratio
+                        b.id, ratio, cur, floor, MIN_RATIO
                     );
                     out.lines.push(msg.clone());
                     out.failures.push(msg);
@@ -214,7 +214,7 @@ pub fn check(current: &HotpathReport, tracked: &TrackedReport, min_ratio: f64) -
 }
 
 /// [`check`] with slowdown retries: a benchmark below its throughput
-/// floor gets up to `max_reruns` fresh readings, keeping the best
+/// floor gets up to [`MAX_RERUNS`] fresh readings, keeping the best
 /// `per_second` per bench, before the slowdown counts as a failure.
 ///
 /// `rerun` re-measures the suite and is handed the below-floor ids (for
@@ -234,15 +234,13 @@ pub fn check(current: &HotpathReport, tracked: &TrackedReport, min_ratio: f64) -
 pub fn check_with_reruns<F>(
     current: &mut HotpathReport,
     tracked: &TrackedReport,
-    min_ratio: f64,
-    max_reruns: usize,
     mut rerun: F,
 ) -> RatchetOutcome
 where
     F: FnMut(&[String]) -> HotpathReport,
 {
-    let mut outcome = check(current, tracked, min_ratio);
-    for attempt in 1..=max_reruns {
+    let mut outcome = check(current, tracked);
+    for attempt in 1..=MAX_RERUNS {
         if outcome.passed() || !outcome.retryable() {
             break;
         }
@@ -267,9 +265,9 @@ where
                 *cur = new.clone();
             }
         }
-        outcome = check(current, tracked, min_ratio);
+        outcome = check(current, tracked);
         outcome.lines.push(format!(
-            "ratchet: rerun {attempt}/{max_reruns} re-measured {} below-floor bench(es)",
+            "ratchet: rerun {attempt}/{MAX_RERUNS} re-measured {} below-floor bench(es)",
             slow.len()
         ));
     }
@@ -351,7 +349,7 @@ mod tests {
                 per_second: Some(1.0),
             }],
         };
-        let out = check(&cur, &tracked, DEFAULT_MIN_RATIO);
+        let out = check(&cur, &tracked);
         assert_eq!(out.failures.len(), 1);
         assert!(out.failures[0].contains("CHECKSUM DRIFT"), "{out:?}");
     }
@@ -367,9 +365,9 @@ mod tests {
             }],
         };
         let slow = report(false, vec![entry("linesim/x", 3, 49.0)]);
-        assert!(!check(&slow, &tracked, 0.5).passed());
+        assert!(!check(&slow, &tracked).passed());
         let fine = report(false, vec![entry("linesim/x", 3, 51.0)]);
-        assert!(check(&fine, &tracked, 0.5).passed());
+        assert!(check(&fine, &tracked).passed());
     }
 
     #[test]
@@ -383,7 +381,7 @@ mod tests {
                 per_second: Some(1e9),
             }],
         };
-        let out = check(&cur, &tracked, DEFAULT_MIN_RATIO);
+        let out = check(&cur, &tracked);
         assert!(out.passed(), "{out:?}");
         assert!(out.lines.is_empty());
     }
@@ -404,7 +402,7 @@ mod tests {
         let tracked = tracked_one("kernels/a", 7, 100.0);
         let mut cur = report(false, vec![entry("kernels/a", 7, 10.0)]);
         let mut calls = 0;
-        let out = check_with_reruns(&mut cur, &tracked, 0.5, MAX_RERUNS, |slow| {
+        let out = check_with_reruns(&mut cur, &tracked, |slow| {
             calls += 1;
             assert_eq!(slow, ["kernels/a".to_string()]);
             report(false, vec![entry("kernels/a", 7, 90.0)])
@@ -420,7 +418,7 @@ mod tests {
         let mut cur = report(false, vec![entry("kernels/a", 7, 10.0)]);
         let mut calls = 0;
         let readings = [20.0, 15.0]; // both still below the 50.0 floor
-        let out = check_with_reruns(&mut cur, &tracked, 0.5, MAX_RERUNS, |_| {
+        let out = check_with_reruns(&mut cur, &tracked, |_| {
             calls += 1;
             report(false, vec![entry("kernels/a", 7, readings[calls - 1])])
         });
@@ -435,7 +433,7 @@ mod tests {
         let tracked = tracked_one("kernels/a", 7, 100.0);
         // Drift AND a slowdown: the drift makes the outcome non-retryable.
         let mut cur = report(false, vec![entry("kernels/a", 8, 10.0)]);
-        let out = check_with_reruns(&mut cur, &tracked, 0.5, MAX_RERUNS, |_| {
+        let out = check_with_reruns(&mut cur, &tracked, |_| {
             panic!("drift must hard-fail without a rerun")
         });
         assert!(!out.passed());
@@ -447,7 +445,7 @@ mod tests {
         let tracked = tracked_one("kernels/a", 7, 100.0);
         let mut cur = report(false, vec![entry("kernels/a", 7, 10.0)]);
         let mut calls = 0;
-        let out = check_with_reruns(&mut cur, &tracked, 0.5, MAX_RERUNS, |_| {
+        let out = check_with_reruns(&mut cur, &tracked, |_| {
             calls += 1;
             report(false, vec![entry("kernels/a", 9, 90.0)])
         });
@@ -477,9 +475,9 @@ mod tests {
             }],
         };
         let smoke_run = report(true, vec![entry("kernels/a", 1, 1.0)]);
-        assert!(!check(&smoke_run, &tracked, DEFAULT_MIN_RATIO).passed());
+        assert!(!check(&smoke_run, &tracked).passed());
         let dropped = report(false, vec![]);
-        let out = check(&dropped, &tracked, DEFAULT_MIN_RATIO);
+        let out = check(&dropped, &tracked);
         assert!(!out.passed());
         assert!(out.failures[0].contains("missing"), "{out:?}");
     }

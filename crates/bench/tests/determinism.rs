@@ -70,6 +70,24 @@ fn smoke_runs_are_identical_modulo_timing() {
 }
 
 #[test]
+fn default_smoke_run_matches_the_tracked_report() {
+    // The gate's ratchet compares against the same file, but only behind
+    // its noisy throughput floors; this pins the checksums, the bench
+    // list and the campaign statistics on every test run.
+    let tracked = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../results/BENCH_hotpath_smoke.json"
+    ))
+    .expect("tracked smoke report is readable");
+    let fresh = run_smoke("tracked", &[]);
+    assert_eq!(
+        strip_timing(&fresh),
+        strip_timing(&tracked),
+        "a default smoke run must reproduce results/BENCH_hotpath_smoke.json"
+    );
+}
+
+#[test]
 fn different_seeds_change_results() {
     // Guards against the comparison above passing vacuously (e.g. the
     // harness ignoring --seed): a different seed must change at least one

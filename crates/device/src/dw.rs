@@ -45,11 +45,6 @@ impl DiffWrite {
     pub fn resets(&self) -> u32 {
         (self.flip_mask & !self.set_mask).count_ones()
     }
-
-    /// Number of flips within a byte window `[offset, offset + len)`.
-    pub fn flips_in_window(&self, offset: usize, len: usize) -> u32 {
-        self.flip_mask.count_ones_in(offset * 8..(offset + len) * 8)
-    }
 }
 
 /// Computes the differential write of `new` over `old` as a [`DiffWrite`].
@@ -65,8 +60,6 @@ impl DiffWrite {
 /// new.set_byte(3, 0xFF);
 /// let dw = diff_write(&old, &new);
 /// assert_eq!(dw.flips(), 8);
-/// assert_eq!(dw.flips_in_window(3, 1), 8);
-/// assert_eq!(dw.flips_in_window(0, 3), 0);
 /// ```
 pub fn diff_write(old: &Line512, new: &Line512) -> DiffWrite {
     let flip_mask = *old ^ *new;
@@ -216,16 +209,6 @@ mod tests {
             assert_eq!(dw.flip_mask(), a ^ b);
             assert_eq!(dw.flips(), a.hamming_distance(&b));
         }
-    }
-
-    #[test]
-    fn window_flip_counts_partition_total() {
-        let mut rng = seeded_rng(53);
-        let a = Line512::random(&mut rng);
-        let b = Line512::random(&mut rng);
-        let dw = diff_write(&a, &b);
-        let halves = dw.flips_in_window(0, 32) + dw.flips_in_window(32, 32);
-        assert_eq!(halves, dw.flips());
     }
 
     #[test]

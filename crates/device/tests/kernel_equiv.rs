@@ -69,22 +69,6 @@ proptest! {
         prop_assert_eq!(dw.flip_mask(), old ^ new);
     }
 
-    /// Windowed flip counts agree with a per-bit scan of the window.
-    #[test]
-    fn diff_write_window_matches_per_bit(
-        old in arb_line(),
-        new in arb_line(),
-        offset in 0usize..64,
-        raw_len in 1usize..=64,
-    ) {
-        let len = raw_len.min(64 - offset);
-        let dw = diff_write(&old, &new);
-        let expected = (offset * 8..(offset + len) * 8)
-            .filter(|&i| old.bit(i) != new.bit(i))
-            .count() as u32;
-        prop_assert_eq!(dw.flips_in_window(offset, len), expected);
-    }
-
     /// A multi-step Flip-N-Write history (flags carried between writes)
     /// matches the per-bit reference at every step, and decode recovers
     /// the logical data.

@@ -50,7 +50,8 @@ impl Daemon {
         &self.engine
     }
 
-    /// Mutable engine access for script replay (`pcm-serve --replay`).
+    /// Mutable engine access for script replay (`pcm-serve --duration`'s
+    /// batch phase, before any connection is served).
     pub fn engine_mut(&mut self) -> &mut Engine {
         &mut self.engine
     }

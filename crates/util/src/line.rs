@@ -235,73 +235,6 @@ impl Line512 {
         &buf[..n]
     }
 
-    /// Counts set bits whose position lies in `range` (a bit range).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `range.end > 512`.
-    pub fn count_ones_in(&self, range: std::ops::Range<usize>) -> u32 {
-        assert!(range.end <= DATA_BITS, "range end out of bounds");
-        if range.start >= range.end {
-            return 0;
-        }
-        let last = range.end - 1;
-        let (ws, we) = (range.start / 64, last / 64);
-        let head = u64::MAX << (range.start % 64);
-        let tail = u64::MAX >> (63 - last % 64);
-        if ws == we {
-            return (self.words[ws] & head & tail).count_ones();
-        }
-        let mut count = (self.words[ws] & head).count_ones();
-        for w in &self.words[ws + 1..we] {
-            count += w.count_ones();
-        }
-        count + (self.words[we] & tail).count_ones()
-    }
-
-    /// Rotates the line left by `n` bytes (byte 0 moves to byte `n`).
-    ///
-    /// This is the operation intra-line wear-leveling performs: data written
-    /// at logical byte offset `o` lands at physical byte `(o + n) % 64`.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use pcm_util::Line512;
-    /// let mut l = Line512::zero();
-    /// l.set_byte(0, 0xFF);
-    /// let r = l.rotate_left_bytes(10);
-    /// assert_eq!(r.byte(10), 0xFF);
-    /// assert_eq!(r.byte(0), 0);
-    /// ```
-    pub fn rotate_left_bytes(&self, n: usize) -> Line512 {
-        // A byte rotation is a 512-bit rotation by a multiple of 8, so it
-        // decomposes into a word rotation plus a sub-word shift with carry.
-        let bits = (n % DATA_BYTES) * 8;
-        if bits == 0 {
-            return *self;
-        }
-        let (ws, bs) = (bits / 64, bits % 64);
-        let mut words = [0u64; 8];
-        for (i, w) in words.iter_mut().enumerate() {
-            let lo = self.words[(i + 8 - ws) % 8];
-            *w = if bs == 0 {
-                lo
-            } else {
-                let carry = self.words[(i + 15 - ws) % 8];
-                (lo << bs) | (carry >> (64 - bs))
-            };
-        }
-        Line512 { words }
-    }
-
-    /// Rotates the line right by `n` bytes (inverse of
-    /// [`rotate_left_bytes`](Self::rotate_left_bytes)).
-    pub fn rotate_right_bytes(&self, n: usize) -> Line512 {
-        let n = n % DATA_BYTES;
-        self.rotate_left_bytes((DATA_BYTES - n) % DATA_BYTES)
-    }
-
     /// Copies `data` into the line starting at byte offset `offset`,
     /// leaving all other bytes untouched, and returns the result.
     ///
@@ -539,29 +472,6 @@ mod tests {
             out
         };
         assert_eq!(l, rebuilt);
-    }
-
-    #[test]
-    fn count_ones_in_ranges() {
-        let l = Line512::ones();
-        assert_eq!(l.count_ones_in(0..512), 512);
-        assert_eq!(l.count_ones_in(3..67), 64);
-        assert_eq!(l.count_ones_in(100..100), 0);
-        let mut m = Line512::zero();
-        m.set_bit(64, true);
-        m.set_bit(63, true);
-        assert_eq!(m.count_ones_in(0..64), 1);
-        assert_eq!(m.count_ones_in(64..128), 1);
-    }
-
-    #[test]
-    fn rotation_round_trip() {
-        let mut rng = crate::seeded_rng(13);
-        let l = Line512::random(&mut rng);
-        for n in 0..DATA_BYTES {
-            assert_eq!(l.rotate_left_bytes(n).rotate_right_bytes(n), l);
-        }
-        assert_eq!(l.rotate_left_bytes(64), l);
     }
 
     #[test]

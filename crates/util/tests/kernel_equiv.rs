@@ -26,18 +26,6 @@ fn arb_faults() -> impl Strategy<Value = FaultMap> {
         .prop_map(|(seed, count, frac)| FaultPlan::with_count(seed, count, frac).for_line(0))
 }
 
-fn ref_count_ones_in(line: &Line512, range: Range<usize>) -> u32 {
-    range.filter(|&i| line.bit(i)).count() as u32
-}
-
-fn ref_rotate_left_bytes(line: &Line512, n: usize) -> Line512 {
-    let mut out = Line512::zero();
-    for i in 0..DATA_BYTES {
-        out.set_byte((i + n) % DATA_BYTES, line.byte(i));
-    }
-    out
-}
-
 fn ref_bit_range_mask(range: Range<usize>) -> Line512 {
     Line512::from_fn(|i| range.contains(&i))
 }
@@ -56,26 +44,6 @@ fn ref_apply(faults: &FaultMap, line: &Line512) -> Line512 {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
-
-    /// Masked head/tail word popcounts agree with a per-bit scan on every
-    /// range, including empty, single-word, and word-straddling ones.
-    #[test]
-    fn count_ones_in_matches_per_bit(line in arb_line(), range in arb_bit_range()) {
-        prop_assert_eq!(line.count_ones_in(range.clone()), ref_count_ones_in(&line, range));
-    }
-
-    /// The word-rotate + sub-word-shift decomposition of a byte rotation
-    /// agrees with moving bytes one at a time.
-    #[test]
-    fn rotate_left_bytes_matches_per_byte(line in arb_line(), n in 0usize..3 * DATA_BYTES) {
-        prop_assert_eq!(line.rotate_left_bytes(n), ref_rotate_left_bytes(&line, n));
-    }
-
-    /// Left and right rotations are inverses.
-    #[test]
-    fn rotations_invert(line in arb_line(), n in 0usize..DATA_BYTES) {
-        prop_assert_eq!(line.rotate_left_bytes(n).rotate_right_bytes(n), line);
-    }
 
     /// The head/tail mask builder produces exactly the bits of the range.
     #[test]
@@ -130,16 +98,6 @@ proptest! {
         prop_assert_eq!(fast, slow);
         prop_assert_eq!(fast.bytes_at(offset, data.len()), data.to_vec());
     }
-}
-
-#[test]
-fn count_ones_in_edge_ranges() {
-    let ones = Line512::ones();
-    assert_eq!(ones.count_ones_in(0..0), 0);
-    assert_eq!(ones.count_ones_in(511..512), 1);
-    assert_eq!(ones.count_ones_in(0..512), 512);
-    assert_eq!(ones.count_ones_in(63..65), 2);
-    assert_eq!(ones.count_ones_in(64..128), 64);
 }
 
 #[test]
