@@ -179,6 +179,7 @@ pub const GATE_STAGES: &[&str] = &[
     "== audit ==",
     "== verify ==",
     "== examples ==",
+    "== perfbench ==",
     "== bench hotpath ==",
     "== experiments ==",
     "== serve ==",
@@ -186,8 +187,15 @@ pub const GATE_STAGES: &[&str] = &[
 ];
 
 /// Non-experiment artifact stems the gate script itself writes.
-const ARTIFACT_STEM_ALLOW: &[&str] =
-    &["audit", "bench_hotpath", "fmt", "rivals", "serve", "verify"];
+const ARTIFACT_STEM_ALLOW: &[&str] = &[
+    "audit",
+    "bench_hotpath",
+    "fmt",
+    "perfbench",
+    "rivals",
+    "serve",
+    "verify",
+];
 
 /// Non-experiment artifact stem prefixes (bench harness, example smoke).
 const ARTIFACT_PREFIX_ALLOW: &[&str] = &["BENCH_", "example_"];

@@ -18,6 +18,9 @@ cargo run -q --release --bin pcm-verify
 echo "== examples =="
 cargo run -q --release --example quickstart -- --quick
 
+echo "== perfbench =="
+CARGO_TARGET_DIR=target cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== bench hotpath =="
 cargo run -q --release -p pcm-bench --bin pcm-bench-hotpath -- --smoke
 

@@ -9,11 +9,13 @@
 //! look where a changed result never does.
 //!
 //! A tracked report that cannot be read or parsed, or an `--out` path
-//! that cannot be written, prints one `error:` line and exits 2, like a
-//! bad flag.
+//! that cannot be opened for writing, prints one `error:` line and exits
+//! 2, like a bad flag, before any benchmark runs.
 
 use pcm_bench::hotpath::{run, HotpathOptions};
 use pcm_bench::ratchet::{check_with_reruns, RatchetOutcome, TrackedReport};
+use std::fs::OpenOptions;
+use std::io::Write;
 
 fn fail(msg: &str) -> ! {
     eprintln!("error: {msg}");
@@ -31,6 +33,15 @@ fn main() {
         TrackedReport::parse(&tracked_json)
             .unwrap_or_else(|e| fail(&format!("cannot parse tracked report {path}: {e}")))
     });
+    // Open the output before the first bench, so an unwritable path fails
+    // in a moment rather than after the whole suite. It is not truncated
+    // until the report is ready: it may be the tracked report read above.
+    let mut out = OpenOptions::new()
+        .write(true)
+        .create(true)
+        .truncate(false)
+        .open(&opts.out)
+        .unwrap_or_else(|e| fail(&format!("cannot write {}: {e}", opts.out)));
     let mut report = run(&opts);
     let outcome: Option<RatchetOutcome> = tracked.as_ref().map(|tracked| {
         check_with_reruns(&mut report, tracked, |slow| {
@@ -45,7 +56,8 @@ fn main() {
     // Written after the retry loop so the refreshed report carries the
     // best reading per bench, not the noisy first attempt.
     let json = report.to_json(true);
-    std::fs::write(&opts.out, &json)
+    out.set_len(0)
+        .and_then(|()| out.write_all(json.as_bytes()))
         .unwrap_or_else(|e| fail(&format!("cannot write {}: {e}", opts.out)));
     println!(
         "wrote {} ({} benches, {} campaigns)",

@@ -4,7 +4,7 @@ use crate::line::ManagedLine;
 use crate::payload::{revivable, store, HostMeta, PayloadBufs};
 use crate::system::SystemConfig;
 use pcm_trace::{BlockStream, WorkloadProfile};
-use pcm_util::{child_seed, seeded_rng, simd, DATA_BITS, DATA_BYTES};
+use pcm_util::{child_seed, seeded_rng, simd, Line512, DATA_BITS, DATA_BYTES};
 use serde::{Deserialize, Serialize};
 
 /// Configuration of one accelerated line simulation.
@@ -193,9 +193,11 @@ pub fn simulate_line_with(cfg: &LineSimConfig, seed: u64, scratch: &mut LineScra
 
         // Real writes: establish the flip pattern of this segment. Flip
         // masks land in a carry-save bit-plane accumulator and are only
-        // expanded to per-bit counts once, at the fast-forward boundary.
+        // expanded to per-bit counts once, at the fast-forward boundary;
+        // their union names the cells the fast-forward visits.
         let mut counts = [0u32; DATA_BITS];
         let mut flip_acc = simd::MaskAccumulator::new();
+        let mut touched = Line512::zero();
         let mut done: u64 = 0;
         let mut died = false;
         for _ in 0..k {
@@ -206,6 +208,7 @@ pub fn simulate_line_with(cfg: &LineSimConfig, seed: u64, scratch: &mut LineScra
                     flip_sum += s.report.flips as u64;
                     sampled += 1;
                     flip_acc.accumulate(&mut counts, &s.report.flip_mask.words());
+                    touched = touched | s.report.flip_mask;
                     meta = s.meta;
                 }
                 Err(_) => {
@@ -232,35 +235,10 @@ pub fn simulate_line_with(cfg: &LineSimConfig, seed: u64, scratch: &mut LineScra
         // Fast-forward the rest of the segment analytically, stopping at
         // the first projected cell failure so fault counts at death stay
         // write-accurate (no multi-fault overshoot within a segment).
-        let mut extra = seg - done;
-        if extra > 0 && done > 0 {
+        let extra = seg - done;
+        if extra > 0 {
             flip_acc.drain_into(&mut counts);
-            // Stop at the first projected cell failure so fault counts at
-            // death stay write-accurate; the scan lives next to the wear
-            // slices in `LineWear` instead of making 512 accessor calls.
-            extra = line.wear().project_first_failure(&counts, done, extra);
-            // The wear grant depends only on the flip count `c` (extra and
-            // done are fixed for the segment) and `c` never exceeds `done`,
-            // so a small memo table replaces the per-cell f64 divide. A
-            // failure granted here lands exactly on the capped boundary;
-            // the next sampled write discovers and re-handles it.
-            let scale = |c: u32| ((c as u64 * extra) as f64 / done as f64).round() as u32;
-            let mut grants = [0u32; DATA_BITS];
-            if done <= 64 {
-                let mut memo: [Option<u32>; 65] = [None; 65];
-                for (pos, &c) in counts.iter().enumerate() {
-                    if c != 0 {
-                        grants[pos] = *memo[c as usize].get_or_insert_with(|| scale(c));
-                    }
-                }
-            } else {
-                for (pos, &c) in counts.iter().enumerate() {
-                    if c != 0 {
-                        grants[pos] = scale(c);
-                    }
-                }
-            }
-            line.add_wear_bulk(&grants);
+            let extra = line.fast_forward(&counts, &touched, done, extra);
             writes += extra;
             residency_left = residency_left.saturating_sub(extra);
         }

@@ -93,33 +93,60 @@ pub struct ManagedLine {
 /// records whether the `len`-byte window at byte `offset` was probed and
 /// whether it fits.
 ///
-/// `can_store` is a pure function of the window's fault positions, and a
-/// line's faults only accumulate, so (scheme, fault count) names the
-/// answers exactly; the bitmaps are cleared whenever that key changes.
-/// An empty memo is valid under any key.
+/// `can_store` is a pure function of the window's fault positions, so the
+/// scheme and the fault mask the answers were given under name them
+/// exactly. It is also subset-closed, and a line's faults only
+/// accumulate: when the mask grows, a window that did not fit still does
+/// not, and one that fit still does unless it covers a byte with a new
+/// fault. Only those windows are forgotten. Any other change of key
+/// empties the memo; an empty memo is valid under any key.
 #[derive(Debug, Clone)]
 struct PlacementMemo {
-    key: (EccChoice, u32),
+    choice: EccChoice,
+    faults: Line512,
     probed: [u64; DATA_BYTES],
     fits: [u64; DATA_BYTES],
+    /// Probes answered by the scheme rather than the bitmaps.
+    #[cfg(test)]
+    computed: u64,
 }
 
 impl PlacementMemo {
     const EMPTY: PlacementMemo = PlacementMemo {
-        key: (EccChoice::Ecp6, 0),
+        choice: EccChoice::Ecp6,
+        faults: Line512::zero(),
         probed: [0; DATA_BYTES],
         fits: [0; DATA_BYTES],
+        #[cfg(test)]
+        computed: 0,
     };
 
-    /// The memo for `choice` over a set of `faults` faulty cells, emptied
-    /// first if it held another key.
-    fn keyed(&mut self, choice: EccChoice, faults: u32) -> &mut Self {
-        if self.key != (choice, faults) {
-            *self = PlacementMemo {
-                key: (choice, faults),
-                ..PlacementMemo::EMPTY
-            };
+    /// The memo for `choice` over the fault mask `faults`: kept whole
+    /// when the key is unchanged, stripped of the fitting windows that
+    /// cover a newly faulty byte when `faults` grew, emptied otherwise.
+    fn keyed(&mut self, choice: EccChoice, faults: Line512) -> &mut Self {
+        if choice != self.choice || !(self.faults & !faults).is_zero() {
+            self.probed = [0; DATA_BYTES];
+            self.fits = [0; DATA_BYTES];
+        } else if faults != self.faults {
+            // Bit `b` of `fresh`: byte `b` holds a new fault. The
+            // `len`-byte windows covering byte `b` start at
+            // `b - len + 1 ..= b` (wrapping), so each length adds one
+            // rotation to the cover.
+            let fresh = faults & !self.faults;
+            let fresh = (0..DATA_BYTES)
+                .filter(|&b| fresh.byte(b) != 0)
+                .fold(0u64, |m, b| m | 1 << b);
+            let mut cover = 0u64;
+            for (len, (probed, fits)) in self.probed.iter_mut().zip(&mut self.fits).enumerate() {
+                cover |= fresh.rotate_right(len as u32);
+                let stale = *fits & cover;
+                *probed &= !stale;
+                *fits &= !stale;
+            }
         }
+        self.choice = choice;
+        self.faults = faults;
         self
     }
 
@@ -130,6 +157,10 @@ impl PlacementMemo {
         let (word, bit) = (len - 1, 1u64 << offset);
         if self.probed[word] & bit == 0 {
             self.probed[word] |= bit;
+            #[cfg(test)]
+            {
+                self.computed += 1;
+            }
             if probe() {
                 self.fits[word] |= bit;
             }
@@ -235,10 +266,16 @@ impl ManagedLine {
         self.meta_updates
     }
 
-    /// Fast-forwards wear on every bit at once; see
-    /// [`LineWear::add_wear_bulk`].
-    pub fn add_wear_bulk(&mut self, grants: &[u32; pcm_util::DATA_BITS]) {
-        self.wear.add_wear_bulk(grants)
+    /// Fast-forwards the rest of a sampled segment and returns the writes
+    /// it replayed; see [`LineWear::fast_forward`].
+    pub fn fast_forward(
+        &mut self,
+        counts: &[u32; DATA_BITS],
+        touched: &Line512,
+        done: u64,
+        extra: u64,
+    ) -> u64 {
+        self.wear.fast_forward(counts, touched, done, extra)
     }
 
     /// The offset at which [`write`](Self::write) would place a payload
@@ -259,14 +296,12 @@ impl ManagedLine {
         slide: bool,
         step: usize,
     ) -> Option<usize> {
-        let faults = self.wear.faults();
-        let memo = self.placements.keyed(ecc, faults.count());
+        let faults = self.wear.faults().positions();
+        let memo = self.placements.keyed(ecc, faults);
+        let scheme = registry::ecc_scheme(ecc);
         window::first_fit(len, preferred, slide, step, |offset| {
             memo.fits(len, offset, || {
-                let mut buf = [0u16; DATA_BITS];
-                let window_faults =
-                    (faults.positions() & window::window_mask(offset, len)).ones_into(&mut buf);
-                registry::ecc_scheme(ecc).can_store(window_faults)
+                scheme.can_store_mask(&(faults & window::window_mask(offset, len)))
             })
         })
     }
@@ -610,7 +645,9 @@ mod tests {
             .chain(EccChoice::ALL)
             .chain([EccChoice::EcpN(8), writer])
             .collect();
-        let mut grown = 0;
+        // Faults arrive through writes and, every other round, through a
+        // fast-forward of the cells a few made-up sampled writes flipped.
+        let (mut grown, mut forwarded) = (0, 0);
         for w in 0..16 {
             assert_placements_match_search(&mut line, &choices);
             let before = line.faults().count();
@@ -621,9 +658,92 @@ mod tests {
             };
             let _ = line.write(writer, payload, (w * 11) % DATA_BYTES, true, 1);
             grown += (line.faults().count() > before) as u32;
+            if w % 2 == 1 {
+                assert_placements_match_search(&mut line, &choices);
+                let before = line.faults().count();
+                let done = rng.random_range(1..=8u64);
+                let mut counts = [0u32; DATA_BITS];
+                let mut touched = Line512::zero();
+                for _ in 0..24 {
+                    let pos = rng.random_range(0..DATA_BITS);
+                    counts[pos] = rng.random_range(1..=done as u32);
+                    touched.set_bit(pos, true);
+                }
+                line.fast_forward(&counts, &touched, done, rng.random_range(1..=12));
+                forwarded += (line.faults().count() > before) as u32;
+            }
         }
         assert_placements_match_search(&mut line, &choices);
         assert!(grown >= 8, "only {grown} writes added faults");
+        assert!(
+            forwarded >= 3,
+            "only {forwarded} fast-forwards added faults"
+        );
+    }
+
+    /// Kills the cell at `pos` (endurance 0 and still healthy) through a
+    /// fast-forward that charges it one programming event.
+    fn kill(line: &mut ManagedLine, pos: usize) {
+        let mut counts = [0u32; DATA_BITS];
+        counts[pos] = 1;
+        let mut touched = Line512::zero();
+        touched.set_bit(pos, true);
+        line.fast_forward(&counts, &touched, 1, 1);
+        assert!(line.faults().is_faulty(pos), "cell {pos} must die");
+    }
+
+    #[test]
+    fn placement_memo_recomputes_only_fitting_windows_over_a_new_fault() {
+        // 32 faults fill bytes 10..14, six more sit alone in bytes 30..50,
+        // and the cell at bit 364 (byte 45) dies between two sweeps.
+        let cluster = 80..112;
+        let scattered = [241usize, 266, 290, 323, 355, 402];
+        let victim = 364;
+        for choice in [EccChoice::Ecp6, EccChoice::Aegis17x31] {
+            let mut endurance = vec![u32::MAX; DATA_BITS];
+            for pos in cluster.clone().chain(scattered).chain([victim]) {
+                endurance[pos] = 0;
+            }
+            let mut line = ManagedLine::with_endurance(endurance);
+            for pos in cluster.clone().chain(scattered) {
+                kill(&mut line, pos);
+            }
+            let scheme = registry::ecc_scheme(choice);
+            // Probes every window once (each as the first probe of its own
+            // preferred offset) and checks every answer against a fresh
+            // search; returns the probes the scheme had to answer.
+            let sweep = |line: &mut ManagedLine| {
+                let before = line.placements.computed;
+                let faults = *line.faults();
+                for len in 1..=DATA_BYTES {
+                    for preferred in 0..DATA_BYTES {
+                        assert_eq!(
+                            line.can_host(choice, len, preferred, true, 1),
+                            window::find_offset(scheme, &faults, len, preferred, 1),
+                            "{choice} len {len} preferred {preferred}"
+                        );
+                    }
+                }
+                line.placements.computed - before
+            };
+            assert_eq!(sweep(&mut line), (DATA_BYTES * DATA_BYTES) as u64);
+            assert_eq!(sweep(&mut line), 0, "{choice}: an unchanged line");
+            let faults = line.faults().positions();
+            let mut buf = [0u16; DATA_BITS];
+            let stale = (1..=DATA_BYTES)
+                .flat_map(|len| (0..DATA_BYTES).map(move |offset| (len, offset)))
+                .filter(|&(len, offset)| {
+                    let mask = window::window_mask(offset, len);
+                    mask.bit(victim) && scheme.can_store((faults & mask).ones_into(&mut buf))
+                })
+                .count() as u64;
+            kill(&mut line, victim);
+            // Some windows over the victim's byte fit before it died and
+            // some did not; only the former are asked again.
+            let covering = (DATA_BYTES * (DATA_BYTES + 1) / 2) as u64;
+            assert!(stale > 0 && stale < covering, "{choice}: {stale} stale");
+            assert_eq!(sweep(&mut line), stale, "{choice}: windows recomputed");
+        }
     }
 
     #[test]

@@ -111,9 +111,8 @@ pub fn find_offset(
     preferred: usize,
     step: usize,
 ) -> Option<usize> {
-    let mut buf = [0u16; DATA_BITS];
     first_fit(len, preferred, true, step, |offset| {
-        scheme.can_store((faults.positions() & window_mask(offset, len)).ones_into(&mut buf))
+        scheme.can_store_mask(&(faults.positions() & window_mask(offset, len)))
     })
 }
 

@@ -471,66 +471,78 @@ impl LineWear {
         (0..DATA_BITS).map(|p| self.remaining(p)).max().unwrap_or(0)
     }
 
-    /// Projects the write count at which proportional wear replay first
-    /// kills a cell.
+    /// Fast-forwards the rest of a sampled segment in one pass over the
+    /// cells its sampled writes flipped.
     ///
     /// The accelerated lifetime engine observes per-bit flip `counts`
-    /// over `done` sampled writes and then replays the rest of a segment
-    /// analytically: bit `pos` is charged `counts[pos] * extra / done`
-    /// further programming events. This scans every worn, healthy cell
-    /// and tightens `extra` to the earliest write at which one of them is
-    /// projected to exceed its endurance, so the caller never overshoots
-    /// a death inside a fast-forwarded span. Bulk twin of the per-cell
-    /// bound the engine previously computed through [`Self::remaining`];
-    /// the whole scan stays inside this line's slices.
+    /// over `done` sampled writes, `touched` being the union of their
+    /// flip masks (so `counts` is zero outside it), and replays `extra`
+    /// further writes in proportion: bit `pos` is charged
+    /// `round(counts[pos] * extra / done)` programming events. First,
+    /// `extra` is tightened to the earliest write at which a healthy
+    /// touched cell is projected to exceed its endurance, so the replay
+    /// never overshoots a death: at `c` events per `done` writes, a cell
+    /// with `r` events left fails on write `ceil((r + 1) * done / c)`.
+    /// Then each healthy touched bit takes its grant, exactly as
+    /// [`Self::add_wear`] would position by position in ascending order:
+    /// grants that round to 0 and stuck bits are skipped, and a cell
+    /// pushed past its endurance sticks at its current stored value. On
+    /// SLC one slack-bound recomputation at the end replaces the
+    /// per-grant decrements; MLC, whose bits share cells, keeps the
+    /// per-bit `add_wear` semantics. Returns the tightened `extra`, the
+    /// writes actually replayed.
     ///
     /// # Panics
     ///
     /// Panics if `done` is zero (there is no flip profile to scale).
-    pub fn project_first_failure(&self, counts: &[u32; DATA_BITS], done: u64, extra: u64) -> u64 {
+    pub fn fast_forward(
+        &mut self,
+        counts: &[u32; DATA_BITS],
+        touched: &Line512,
+        done: u64,
+        extra: u64,
+    ) -> u64 {
         assert!(done > 0, "cannot project wear from zero sampled writes");
-        let healthy = !self.faults.positions();
-        let mut extra = extra;
+        if extra == 0 {
+            return 0;
+        }
+        let live = *touched & !self.faults.positions();
         let slc = self.tech == CellTech::Slc;
-        for (pos, &c) in counts.iter().enumerate() {
-            if c == 0 || !healthy.bit(pos) {
+        let mut extra = extra;
+        for pos in live.iter_ones() {
+            let c = counts[pos] as u64;
+            if c == 0 {
                 continue;
             }
             let cell = if slc { pos } else { self.cell_of(pos) };
             let remaining = self.endurance[cell].saturating_sub(self.wear[cell]);
-            // The cell survives `remaining` more events and fails on the
-            // next; at `c` events per `done` writes that is
-            // `ceil(scaled_events / c)` writes. Divide only on strict
-            // improvements of the running bound (it is monotone, so that
-            // is a handful of divisions per call).
-            let events_to_fail = remaining as u64 + 1;
-            let scaled_events = events_to_fail.saturating_mul(done);
-            if scaled_events <= (extra - 1).saturating_mul(c as u64) {
-                extra = extra.min(scaled_events.div_ceil(c as u64));
+            // Divide only on strict improvements of the running bound (it
+            // is monotone, so that is a handful of divisions per call).
+            let scaled_events = (remaining as u64 + 1).saturating_mul(done);
+            if scaled_events <= (extra - 1).saturating_mul(c) {
+                extra = scaled_events.div_ceil(c);
             }
         }
-        extra
-    }
-
-    /// Fast-forwards wear on every bit at once: bit `pos` absorbs
-    /// `grants[pos]` programming events (zero grants and stuck bits are
-    /// skipped), and each cell pushed past its endurance sticks at its
-    /// current stored value, exactly as [`Self::add_wear`] would
-    /// position-by-position in ascending order. One slack-bound
-    /// recomputation at the end replaces 512 conservative decrements.
-    pub fn add_wear_bulk(&mut self, grants: &[u32; DATA_BITS]) {
-        if self.tech != CellTech::Slc {
-            // MLC shares cells between bits; keep the reference per-bit
-            // semantics (fault spread across the cell's bits).
-            for (pos, &g) in grants.iter().enumerate() {
-                if g > 0 {
-                    let _ = self.add_wear(pos, g);
-                }
+        // The grant depends only on the flip count `c`, which never
+        // exceeds `done` (a write flips a cell at most once), so a small
+        // table replaces the per-cell f64 divide for counts up to 64. A
+        // failure granted here lands exactly on the tightened boundary;
+        // the next sampled write discovers and re-handles it.
+        let scale = |c: u32| ((c as u64 * extra) as f64 / done as f64).round() as u32;
+        let mut table: [Option<u32>; 65] = [None; 65];
+        let mut grant = |c: u32| match table.get_mut(c as usize) {
+            Some(slot) => *slot.get_or_insert_with(|| scale(c)),
+            None => scale(c),
+        };
+        for pos in live.iter_ones() {
+            let g = grant(counts[pos]);
+            if g == 0 {
+                continue;
             }
-            return;
-        }
-        for (pos, &g) in grants.iter().enumerate() {
-            if g == 0 || self.faults.is_faulty(pos) {
+            if !slc {
+                // A dying cell freezes its other bit, which `add_wear`
+                // then skips.
+                let _ = self.add_wear(pos, g);
                 continue;
             }
             self.wear[pos] = self.wear[pos].saturating_add(g);
@@ -541,9 +553,12 @@ impl LineWear {
                 });
             }
         }
-        let healthy = !self.faults.positions();
-        self.slack = simd::min_remaining(&self.wear, &self.endurance, &healthy.words());
-        self.slack_stale = false;
+        if slc {
+            let healthy = !self.faults.positions();
+            self.slack = simd::min_remaining(&self.wear, &self.endurance, &healthy.words());
+            self.slack_stale = false;
+        }
+        extra
     }
 }
 

@@ -1,13 +1,15 @@
-//! Differential rig for the SLC lane-kernel wear model.
+//! Differential rig for the lane-kernel wear model.
 //!
 //! `LineWear`'s SLC write path — whole-line lane kernels plus the
 //! death-free slack fast path — must match an *independent* per-bit model
 //! reimplemented from the documented semantics, over long
 //! write/fast-forward sequences that drive cells through death (the only
 //! events where the fast path, the stale-bound recomputation, and the
-//! fault materialization interact).
+//! fault materialization interact). The segment fast-forward must match
+//! a brute-force projection plus the per-position `add_wear` loop, on
+//! SLC and MLC lines alike.
 
-use pcm_device::LineWear;
+use pcm_device::{CellTech, EnduranceModel, LineWear};
 use pcm_util::{Line512, DATA_BITS};
 use proptest::prelude::*;
 
@@ -147,76 +149,106 @@ proptest! {
         assert_state_matches(&line, &model)?;
     }
 
-    /// `add_wear_bulk` equals the ascending per-position `add_wear` loop
-    /// it replaces, including the faults each one materializes.
+    /// `fast_forward` equals the brute-force projection followed by the
+    /// ascending per-position `add_wear` loop it replaces, faults and all,
+    /// on SLC and MLC lines, for segments of at most and more than 64
+    /// sampled writes, with grants that round to 0 and touched cells that
+    /// are already stuck.
     #[test]
-    fn add_wear_bulk_matches_sequence(
+    fn fast_forward_matches_projection_and_add_wear_sequence(
+        mlc in any::<bool>(),
         endurance in prop::collection::vec(0u32..6, DATA_BITS),
+        seed in any::<u64>(),
         seed_writes in prop::collection::vec(arb_line(), 0..4),
-        grant_list in prop::collection::vec((0..DATA_BITS, 1u32..5), 0..80),
+        count_list in prop::collection::vec((0..DATA_BITS, any::<u32>()), 0..80),
+        done in 1u64..130,
+        extra in prop_oneof![1u64..4, 1u64..400],
     ) {
-        let mut bulk = LineWear::with_endurance(endurance);
-        for target in &seed_writes {
-            bulk.write(target);
-        }
-        let mut seq = bulk.clone();
-        let mut grants = [0u32; DATA_BITS];
-        for &(pos, g) in &grant_list {
-            grants[pos] = grants[pos].saturating_add(g);
-        }
-        bulk.add_wear_bulk(&grants);
-        for (pos, &g) in grants.iter().enumerate() {
+        let mut line = worn_line(mlc, endurance, seed, &seed_writes);
+        let (counts, touched) = profile(&count_list, done);
+        let mut seq = line.clone();
+        let got = line.fast_forward(&counts, &touched, done, extra);
+        let want = projection(&seq, &counts, done, extra);
+        prop_assert_eq!(got, want);
+        for (pos, &c) in counts.iter().enumerate() {
+            let g = ((c as u64 * want) as f64 / done as f64).round() as u32;
             if g > 0 {
                 let _ = seq.add_wear(pos, g);
             }
         }
         // `PartialEq` covers tech, endurance, wear, stored, and faults
         // (the slack cache is deliberately excluded).
-        prop_assert_eq!(&bulk, &seq);
+        prop_assert_eq!(&line, &seq);
         // And the fast path must still be sound afterwards: more writes
         // agree too.
-        let target = Line512::ones();
-        prop_assert_eq!(bulk.write(&target), seq.write(&target));
+        for target in [Line512::ones(), Line512::zero()] {
+            prop_assert_eq!(line.write(&target), seq.write(&target));
+        }
     }
 
-    /// `project_first_failure` equals the closed-form minimum over all
-    /// healthy profiled cells of the first write count whose scaled
-    /// replay kills the cell.
+    /// The writes `fast_forward` replays are the brute-force projection:
+    /// the earliest write at which a healthy profiled cell's scaled
+    /// replay exceeds its endurance, capped at the requested span.
     #[test]
-    fn project_first_failure_matches_bruteforce(
+    fn fast_forward_stops_at_the_bruteforce_projection(
+        mlc in any::<bool>(),
         endurance in prop::collection::vec(0u32..40, DATA_BITS),
+        seed in any::<u64>(),
         seed_writes in prop::collection::vec(arb_line(), 1..4),
-        count_list in prop::collection::vec((0..DATA_BITS, 1u32..6), 1..60),
+        count_list in prop::collection::vec((0..DATA_BITS, any::<u32>()), 1..60),
         done in 1u64..200,
         extra in 1u64..10_000,
     ) {
-        let mut line = LineWear::with_endurance(endurance);
-        for target in &seed_writes {
-            line.write(target);
-        }
-        let mut counts = [0u32; DATA_BITS];
-        for &(pos, c) in &count_list {
-            counts[pos] = counts[pos].saturating_add(c);
-        }
-        let got = line.project_first_failure(&counts, done, extra);
-        // Reference: cell `pos` (healthy, profiled) survives `remaining`
-        // more events and dies on the next; at `c` events per `done`
-        // writes the first fatal write count is
-        // ceil((remaining + 1) * done / c). The projection is the
-        // minimum over cells, capped at the requested span.
-        let want = (0..DATA_BITS)
-            .filter(|&pos| counts[pos] > 0 && !line.faults().is_faulty(pos))
-            .map(|pos| {
-                let remaining =
-                    line.endurance_of(pos).saturating_sub(line.wear_of(pos)) as u64;
-                (remaining + 1)
-                    .saturating_mul(done)
-                    .div_ceil(counts[pos] as u64)
-            })
-            .min()
-            .map_or(extra, |first_fatal| extra.min(first_fatal));
-        prop_assert_eq!(got, want);
+        let mut line = worn_line(mlc, endurance, seed, &seed_writes);
+        let (counts, touched) = profile(&count_list, done);
+        let want = projection(&line, &counts, done, extra);
+        prop_assert_eq!(line.fast_forward(&counts, &touched, done, extra), want);
     }
+}
+
+/// A line with tight endurance after `writes`: SLC with the given
+/// per-cell `endurance`, or MLC-2 sampled from `seed` around a mean of 3.
+fn worn_line(mlc: bool, endurance: Vec<u32>, seed: u64, writes: &[Line512]) -> LineWear {
+    let mut line = if mlc {
+        let model = EnduranceModel::new(3.0, 0.5);
+        LineWear::sample_with_tech(&model, CellTech::Mlc2, &mut pcm_util::seeded_rng(seed))
+    } else {
+        LineWear::with_endurance(endurance)
+    };
+    for target in writes {
+        line.write(target);
+    }
+    line
+}
+
+/// Per-bit flip counts of `done` sampled writes, each in `1..=done`, and
+/// the union of the cells they touched.
+fn profile(count_list: &[(usize, u32)], done: u64) -> ([u32; DATA_BITS], Line512) {
+    let mut counts = [0u32; DATA_BITS];
+    let mut touched = Line512::zero();
+    for &(pos, c) in count_list {
+        counts[pos] = 1 + c % done as u32;
+        touched.set_bit(pos, true);
+    }
+    (counts, touched)
+}
+
+/// Brute-force projection: bit `pos` (healthy, profiled) has `remaining`
+/// events left on its cell and fails on the next; at `c` events per
+/// `done` writes the first fatal write is
+/// `ceil((remaining + 1) * done / c)`. The projection is the minimum over
+/// bits, capped at `extra`.
+fn projection(line: &LineWear, counts: &[u32; DATA_BITS], done: u64, extra: u64) -> u64 {
+    (0..DATA_BITS)
+        .filter(|&pos| counts[pos] > 0 && !line.faults().is_faulty(pos))
+        .map(|pos| {
+            let remaining = line.endurance_of(pos).saturating_sub(line.wear_of(pos)) as u64;
+            (remaining + 1)
+                .saturating_mul(done)
+                .div_ceil(counts[pos] as u64)
+        })
+        .min()
+        .map_or(extra, |first_fatal| extra.min(first_fatal))
 }
 
 /// Zero-endurance adversarial case: the very first all-ones write kills

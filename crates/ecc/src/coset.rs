@@ -138,6 +138,10 @@ impl HardErrorScheme for Coset {
         self.inner.can_store(fault_positions)
     }
 
+    fn can_store_mask(&self, window_faults: &Line512) -> bool {
+        self.inner.can_store_mask(window_faults)
+    }
+
     fn unstorable_suffix(&self, fault_positions: &[u16]) -> Option<usize> {
         self.inner.unstorable_suffix(fault_positions)
     }

@@ -142,6 +142,10 @@ impl HardErrorScheme for Ecp {
         fault_positions.len() as u32 <= self.entries
     }
 
+    fn can_store_mask(&self, window_faults: &Line512) -> bool {
+        window_faults.count_ones() <= self.entries
+    }
+
     fn unstorable_suffix(&self, fault_positions: &[u16]) -> Option<usize> {
         // Any `entries + 1` faults overflow the pointers, and no fewer do.
         fault_positions.len().checked_sub(self.entries as usize + 1)

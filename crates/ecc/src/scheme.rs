@@ -1,7 +1,7 @@
 //! The common interface of hard-error tolerance schemes.
 
 use pcm_util::fault::FaultMap;
-use pcm_util::Line512;
+use pcm_util::{Line512, DATA_BITS};
 use std::fmt;
 
 /// Error returned when a scheme cannot store data over the given faults.
@@ -66,11 +66,14 @@ pub trait HardErrorScheme: Send + Sync {
     /// has already probed without asking again.
     ///
     /// The answer is also subset-closed: if a position set is storable,
-    /// so is every subset of it. Four pieces of code rely on this:
+    /// so is every subset of it. Five pieces of code rely on this:
     ///
     /// * the window controller: a window that holds a payload holds any
     ///   shorter payload at the same offset, so one resurrection check on
     ///   the smallest payload form answers for every form;
+    /// * the line's placement memo: when a fault arrives, a window that
+    ///   did not fit still does not, so only the fitting windows over the
+    ///   new fault's byte are asked again;
     /// * [`unstorable_suffix`](Self::unstorable_suffix): a failing set
     ///   names one unstorable part of itself, and every superset of that
     ///   part fails too;
@@ -81,6 +84,19 @@ pub trait HardErrorScheme: Send + Sync {
     ///   search at the narrower size's first fit, and stops at the first
     ///   size with no fit, counting every wider size as failed.
     fn can_store(&self, fault_positions: &[u16]) -> bool;
+
+    /// [`can_store`](Self::can_store) on the positions of the set bits of
+    /// `window_faults`: a window's faulty cells as a mask, as the window
+    /// controller's placement probes hold them.
+    ///
+    /// The default lists the positions and calls `can_store`, so a
+    /// wrapper that has only `can_store` sees every probe. A scheme whose
+    /// answer needs less than the list overrides it: ECP only counts the
+    /// faults and SECDED checks at most one per 64-bit word.
+    fn can_store_mask(&self, window_faults: &Line512) -> bool {
+        let mut buf = [0u16; DATA_BITS];
+        self.can_store(window_faults.ones_into(&mut buf))
+    }
 
     /// Returns `None` exactly when [`can_store`](Self::can_store) accepts
     /// `fault_positions`, and otherwise `Some(s)` such that

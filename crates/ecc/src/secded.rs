@@ -224,6 +224,11 @@ impl HardErrorScheme for Secded {
         self.unstorable_suffix(fault_positions).is_none()
     }
 
+    fn can_store_mask(&self, window_faults: &Line512) -> bool {
+        // One check byte per 64-bit word corrects one fault in it.
+        window_faults.words().iter().all(|w| w.count_ones() <= 1)
+    }
+
     fn unstorable_suffix(&self, fault_positions: &[u16]) -> Option<usize> {
         // From the highest fault down, one bit per 64-bit word that
         // already holds a fault: the first fault landing in a marked word

@@ -93,6 +93,20 @@ for ex in quickstart lifetime_campaign; do
 done
 echo "   ok"
 
+# Repo benchmark build: `perfbench/` is a cargo workspace of its own that
+# drives the library crates' public API, so nothing else here compiles it.
+# Its tests build it under this script's -D warnings and check its
+# wrappers and a small campaign, so an API change that breaks the
+# benchmark fails here rather than in a benchmark run.
+echo "== perfbench =="
+if ! CARGO_TARGET_DIR=target /usr/bin/timeout 1200 cargo test --release --offline \
+    --manifest-path perfbench/Cargo.toml > results/perfbench.txt 2>&1; then
+  echo "   PERFBENCH FAILED (see results/perfbench.txt)" >&2
+  tail -n 20 results/perfbench.txt >&2
+  exit 1
+fi
+echo "   ok"
+
 # Hot-path benchmark: full calibrated run refreshes BENCH_hotpath.json;
 # --bench-smoke instead does a seconds-long sanity pass for the gate.
 # Either way the fresh run is ratcheted against the committed report

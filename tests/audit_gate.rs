@@ -173,3 +173,32 @@ fn bench_stage_is_ratcheted_against_the_committed_reports() {
         "full bench must ratchet against the committed calibrated report"
     );
 }
+
+#[test]
+fn perfbench_stage_tests_the_benchmark_package_before_the_benches() {
+    let script = gate_script();
+    let perfbench = script
+        .find("== perfbench ==")
+        .expect("perfbench stage present");
+    let examples = script
+        .find("== examples ==")
+        .expect("examples stage present");
+    let bench = script
+        .find("== bench hotpath ==")
+        .expect("bench stage present");
+    assert!(
+        examples < perfbench && perfbench < bench,
+        "the benchmark package is tested after the examples, before the benches"
+    );
+    let stage = &script[perfbench..bench];
+    assert!(
+        stage.contains("CARGO_TARGET_DIR=target")
+            && stage.contains("cargo test --release --offline")
+            && stage.contains("--manifest-path perfbench/Cargo.toml"),
+        "perfbench stage must test the benchmark's own workspace:\n{stage}"
+    );
+    assert!(
+        stage.contains("exit 1") && !stage.contains("if [ \"$"),
+        "perfbench failures must abort the gate, unconditionally:\n{stage}"
+    );
+}

@@ -9,7 +9,7 @@ use collab_pcm::core::EccChoice;
 use collab_pcm::device::dw::diff_write;
 use collab_pcm::ecc::montecarlo::failure_surface;
 use collab_pcm::ecc::{find_window, HardErrorScheme, MonteCarlo};
-use collab_pcm::util::Line512;
+use collab_pcm::util::{Line512, DATA_BITS};
 use proptest::prelude::*;
 
 fn arb_line() -> impl Strategy<Value = Line512> {
@@ -209,6 +209,33 @@ proptest! {
                     find_window(&default, &set, window_bytes),
                     find_window(scheme, &set, window_bytes),
                     "{} window {} faults {:?}", choice, window_bytes, set
+                );
+            }
+        }
+    }
+
+    /// Every registry scheme's `can_store_mask` answers what `can_store`
+    /// answers on the mask's listed positions: on the empty mask, sparse
+    /// draws (clustered or not), one fault per 64-bit word, and random
+    /// masks of about 128 and 256 faults.
+    #[test]
+    fn can_store_mask_matches_can_store_on_the_listed_positions(
+        draws in prop::collection::vec(0u16..512, 0..=24),
+        clustered in any::<bool>(),
+        a in arb_line(),
+        b in arb_line(),
+    ) {
+        let sparse = fault_set(&draws, clustered);
+        let sparse = Line512::from_fn(|p| sparse.binary_search(&(p as u16)).is_ok());
+        let one_per_word = Line512::from_words(a.words().map(|w| w & w.wrapping_neg()));
+        let masks = [Line512::zero(), sparse, one_per_word, a & b, a];
+        let mut buf = [0u16; DATA_BITS];
+        for (choice, scheme) in registry_schemes() {
+            for mask in &masks {
+                prop_assert_eq!(
+                    scheme.can_store_mask(mask),
+                    scheme.can_store(mask.ones_into(&mut buf)),
+                    "{} over {} faults", choice, mask.count_ones()
                 );
             }
         }
