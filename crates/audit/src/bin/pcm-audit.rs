@@ -1,6 +1,6 @@
 //! CLI for the workspace determinism & hygiene audit.
 //!
-//! Exit status: 0 when every finding is baselined, 1 on unbaselined
+//! Exit status: 0 when no finding is left after the inline pragmas, 1 on
 //! findings, 2 on usage or I/O errors. The report is deterministic —
 //! byte-identical across runs and `--jobs` settings — so the gate can
 //! diff it.
@@ -15,38 +15,29 @@ USAGE:
     pcm-audit [OPTIONS]
 
 OPTIONS:
-    --root <DIR>            workspace root to audit [default: .]
-    --baseline <FILE>       baseline file [default: <root>/audit-baseline.toml]
-    --no-baseline           ignore any baseline file (report everything)
-    --jobs <N>              worker threads for file checks [default: 1]
-    --json                  machine-readable JSON report instead of text
-    --write-baseline <FILE> write a fresh baseline for current findings and exit
-    --list-rules            print the rule table and exit
-    -h, --help              print this help and exit
+    --root <DIR>    workspace root to audit [default: .]
+    --jobs <N>      worker threads for file checks [default: 1]
+    --json          machine-readable JSON report instead of text
+    --list-rules    print the rule table and exit
+    -h, --help      print this help and exit
 
-Suppress a single finding in place with an inline pragma:
+The only way to silence a finding is an inline pragma on its line or the
+line above:
     // pcm-audit: allow(<rule>) — <reason>
-Grandfathered findings live in audit-baseline.toml; counts only ratchet
-down. Exit codes: 0 clean, 1 findings, 2 usage/IO error.";
+Exit codes: 0 clean, 1 findings, 2 usage/IO error.";
 
 struct Args {
     root: PathBuf,
-    baseline: Option<PathBuf>,
-    no_baseline: bool,
     jobs: usize,
     json: bool,
-    write_baseline: Option<PathBuf>,
     list_rules: bool,
 }
 
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         root: PathBuf::from("."),
-        baseline: None,
-        no_baseline: false,
         jobs: 1,
         json: false,
-        write_baseline: None,
         list_rules: false,
     };
     let mut it = std::env::args().skip(1);
@@ -57,8 +48,6 @@ fn parse_args() -> Result<Args, String> {
         };
         match arg.as_str() {
             "--root" => args.root = PathBuf::from(value("--root")?),
-            "--baseline" => args.baseline = Some(PathBuf::from(value("--baseline")?)),
-            "--no-baseline" => args.no_baseline = true,
             "--jobs" => {
                 let v = value("--jobs")?;
                 args.jobs = v
@@ -68,9 +57,6 @@ fn parse_args() -> Result<Args, String> {
                     .ok_or_else(|| format!("--jobs needs a positive integer, got '{v}'"))?;
             }
             "--json" => args.json = true,
-            "--write-baseline" => {
-                args.write_baseline = Some(PathBuf::from(value("--write-baseline")?))
-            }
             "--list-rules" => args.list_rules = true,
             "-h" | "--help" => {
                 println!("{USAGE}");
@@ -102,35 +88,12 @@ fn run() -> Result<bool, String> {
     }
 
     let report = pcm_audit::scan(&args.root, args.jobs)?;
-
-    if let Some(path) = args.write_baseline {
-        let text = pcm_audit::baseline::render(&report.findings);
-        std::fs::write(&path, text).map_err(|e| format!("{}: {e}", path.display()))?;
-        println!(
-            "wrote {} ({} finding(s)); fill in the reasons",
-            path.display(),
-            report.findings.len()
-        );
-        return Ok(true);
-    }
-
-    let baseline_path = args
-        .baseline
-        .unwrap_or_else(|| args.root.join("audit-baseline.toml"));
-    let entries = if !args.no_baseline && baseline_path.is_file() {
-        let text = std::fs::read_to_string(&baseline_path)
-            .map_err(|e| format!("{}: {e}", baseline_path.display()))?;
-        pcm_audit::baseline::parse(&text)?
-    } else {
-        Vec::new()
-    };
-    let applied = pcm_audit::baseline::apply(report.findings.clone(), &entries);
     if args.json {
-        print!("{}", pcm_audit::render_json(&report, &applied));
+        print!("{}", pcm_audit::render_json(&report));
     } else {
-        print!("{}", pcm_audit::render(&report, &applied));
+        print!("{}", pcm_audit::render(&report));
     }
-    Ok(applied.visible.is_empty())
+    Ok(report.findings.is_empty())
 }
 
 fn main() -> ExitCode {

@@ -511,9 +511,7 @@ fn collect_roots(units: &[Unit], index: &SymbolIndex, findings: &mut Vec<Finding
 /// `allow(rule)` pragma (same line or the line below the pragma comment).
 fn call_pruned(graph: &Graph, node: usize, rule: &str, line: u32) -> bool {
     let unit = &graph.units[graph.index.nodes[node].file];
-    unit.pragmas
-        .iter()
-        .any(|p| p.rule == rule && (p.line == line || p.line + 1 == line))
+    unit.pragmas.iter().any(|p| p.rule == rule && p.spans(line))
 }
 
 fn check_reachability(
@@ -765,9 +763,7 @@ mod tests {
     fn unit(rel: &str, src: &str) -> Unit {
         let lexed = lex(src);
         let parsed = parse(&lexed);
-        let mut findings = Vec::new();
-        let pragmas = rules::collect_pragmas(rel, &lexed.comments, &mut findings);
-        let roots = rules::collect_root_marks(rel, &lexed.comments, &mut findings);
+        let rules::Directives { pragmas, roots, .. } = rules::directives(rel, &lexed.comments);
         Unit {
             rel: rel.to_string(),
             lexed,

@@ -22,7 +22,8 @@ pub struct Unit {
     pub lexed: Lexed,
     /// Parsed item structure.
     pub parsed: ParsedFile,
-    /// Allow pragmas, applied to inter-procedural findings by the caller.
+    /// Allow pragmas: the scan filters every finding in this file through
+    /// them, and the call-graph walk prunes the calls they cover.
     pub pragmas: Vec<Pragma>,
     /// `root(<rule>)` annotations marking analysis entry points.
     pub roots: Vec<RootMark>,

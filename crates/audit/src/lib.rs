@@ -10,9 +10,10 @@
 //! The crate is fully self-contained: a minimal Rust lexer ([`lexer`]),
 //! a total recursive-descent item parser ([`parser`]), a workspace
 //! symbol index ([`index`]) feeding a conservative call graph
-//! ([`graph`]), a table-driven rule engine ([`rules`]), and a
-//! grandfathering baseline ([`baseline`]) — no external dependencies, so
-//! it builds first and fast in the offline container.
+//! ([`graph`]), and a table-driven rule engine ([`rules`]) — no external
+//! dependencies, so it builds first and fast in the offline container.
+//! An inline `// pcm-audit: allow(<rule>) — <reason>` pragma is the only
+//! way to silence a finding.
 //!
 //! # Examples
 //!
@@ -20,14 +21,12 @@
 //! use std::path::Path;
 //!
 //! let report = pcm_audit::scan(Path::new("."), 1).expect("workspace scan");
-//! let applied = pcm_audit::baseline::apply(report.findings.clone(), &[]);
-//! println!("{}", pcm_audit::render(&report, &applied));
-//! println!("{}", pcm_audit::render_json(&report, &applied));
+//! println!("{}", pcm_audit::render(&report));
+//! println!("{}", pcm_audit::render_json(&report));
 //! ```
 
 #![forbid(unsafe_code)]
 
-pub mod baseline;
 pub mod graph;
 pub mod index;
 pub mod lexer;
@@ -36,21 +35,19 @@ pub mod rules;
 
 pub use rules::{Finding, RuleInfo, RULES};
 
-use rules::{FileOutput, WorkspaceCtx};
+use rules::WorkspaceCtx;
 use std::path::{Path, PathBuf};
 
 /// Directory subtrees the walker never descends into, relative to root.
 const SKIP_DIRS: &[&str] = &["target", ".git", "crates/audit/tests/fixtures"];
 
-/// Everything one scan produced, before baseline filtering.
+/// Everything one scan produced.
 #[derive(Debug, Default)]
 pub struct ScanReport {
     /// Source files scanned (`.rs` + manifests + script + docs).
     pub files_scanned: usize,
-    /// All findings, sorted by (file, line, rule, message).
+    /// Findings no pragma covers, sorted by (file, line, rule, message).
     pub findings: Vec<Finding>,
-    /// `file:line` of every `unsafe` site carrying a SAFETY comment.
-    pub unsafe_inventory: Vec<String>,
 }
 
 /// Walks the workspace at `root` and runs every rule, fanning file checks
@@ -113,8 +110,7 @@ pub fn scan(root: &Path, jobs: usize) -> Result<ScanReport, String> {
     let mut registry_sources: Vec<(String, String)> = Vec::new();
     let mut units: Vec<index::Unit> = Vec::new();
     for pf in per_file {
-        report.findings.extend(pf.out.findings);
-        report.unsafe_inventory.extend(pf.out.unsafe_inventory);
+        report.findings.extend(pf.findings);
         registry_sources.extend(pf.registry);
         units.push(pf.unit);
     }
@@ -141,33 +137,42 @@ pub fn scan(root: &Path, jobs: usize) -> Result<ScanReport, String> {
 
     // Inter-procedural rules: symbol index → call graph → reachability.
     let idx = index::SymbolIndex::build(&units, &ctx.manifests);
-    let graph_findings = graph::check(&units, &idx);
-    report
-        .findings
-        .extend(apply_interproc_pragmas(graph_findings, &units));
-
+    report.findings.extend(graph::check(&units, &idx));
     report.findings.extend(rules::check_workspace(&ctx));
 
+    // The one suppression filter: a finding goes when a pragma in its own
+    // file covers it, whichever rule or pass produced it. Units are in
+    // path order, so the file lookup is a binary search.
+    report.findings.retain(|f| {
+        !units
+            .binary_search_by(|u| u.rel.as_str().cmp(&f.file))
+            .is_ok_and(|i| units[i].pragmas.iter().any(|p| p.covers(f)))
+    });
     report.findings.sort();
     report.findings.dedup();
-    report.unsafe_inventory.sort();
     Ok(report)
 }
 
-/// Per-file scan output: the analysis unit plus token-local findings.
+/// Per-file scan output: the analysis unit plus its file-scoped findings.
 struct PerFile {
     unit: index::Unit,
-    out: FileOutput,
+    findings: Vec<Finding>,
     registry: Vec<(String, String)>,
 }
 
-/// Lexes, checks, and parses one `.rs` file; experiment sources also
-/// yield their registry names, keyed by path so parallel scheduling
-/// cannot reorder them (the caller sorts by path before extracting).
+/// Lexes, checks, and parses one `.rs` file, reading its `pcm-audit:`
+/// comments once; experiment sources also yield their registry names,
+/// keyed by path so parallel scheduling cannot reorder them (the caller
+/// sorts by path before extracting).
 fn process_rs(root: &Path, path: &Path) -> Result<PerFile, String> {
     let rel = rel_path(root, path);
     let lexed = lexer::lex(&read(path)?);
-    let out = rules::check_file(&rel, &lexed);
+    let rules::Directives {
+        pragmas,
+        roots,
+        mut findings,
+    } = rules::directives(&rel, &lexed.comments);
+    findings.extend(rules::check_file(&rel, &lexed));
     let registry = if rel.starts_with("crates/bench/src/experiments/") {
         rules::registry_names_in(&lexed)
             .into_iter()
@@ -176,17 +181,7 @@ fn process_rs(root: &Path, path: &Path) -> Result<PerFile, String> {
     } else {
         Vec::new()
     };
-    // Pragma findings were already emitted by check_file; swallow the
-    // duplicates these collectors would re-report.
-    let mut scratch = Vec::new();
-    let pragmas = rules::collect_pragmas(&rel, &lexed.comments, &mut scratch);
-    let mut root_findings = Vec::new();
-    let roots = rules::collect_root_marks(&rel, &lexed.comments, &mut root_findings);
     let parsed = parser::parse(&lexed);
-    let mut out = out;
-    out.findings.extend(root_findings);
-    out.findings.sort();
-    out.findings.dedup();
     Ok(PerFile {
         unit: index::Unit {
             rel,
@@ -195,32 +190,9 @@ fn process_rs(root: &Path, path: &Path) -> Result<PerFile, String> {
             pragmas,
             roots,
         },
-        out,
+        findings,
         registry,
     })
-}
-
-/// Applies each file's inline pragmas to the inter-procedural findings.
-/// `panic-reach` findings are additionally covered by `panic-unwrap` /
-/// `panic-macro` pragmas at the site: a justified can't-happen panic is
-/// justified from the wire loop too, without demanding a second pragma
-/// on the same line.
-fn apply_interproc_pragmas(findings: Vec<Finding>, units: &[index::Unit]) -> Vec<Finding> {
-    findings
-        .into_iter()
-        .filter(|f| {
-            let Ok(ui) = units.binary_search_by(|u| u.rel.as_str().cmp(f.file.as_str())) else {
-                return true;
-            };
-            !units[ui].pragmas.iter().any(|p| {
-                let line_hit = f.line == p.line || f.line == p.line + 1;
-                let rule_hit = p.rule == f.rule
-                    || (f.rule == "panic-reach"
-                        && matches!(p.rule.as_str(), "panic-unwrap" | "panic-macro"));
-                line_hit && rule_hit
-            })
-        })
-        .collect()
 }
 
 fn read(path: &Path) -> Result<String, String> {
@@ -277,46 +249,23 @@ fn list_results(dir: &Path) -> Result<Vec<String>, String> {
 
 /// Renders the deterministic findings report. Contains no timestamps or
 /// machine state, so two clean runs are byte-identical — the property the
-/// self-check test pins.
-pub fn render(report: &ScanReport, applied: &baseline::Applied) -> String {
+/// self-check test pins. A clean report is the header plus `result: ok`.
+pub fn render(report: &ScanReport) -> String {
+    let n = report.findings.len();
     let mut out = format!(
-        "pcm-audit: {} files scanned, {} rules, {} finding(s) ({} baselined)\n",
+        "pcm-audit: {} files scanned, {} rules, {n} finding(s)\n",
         report.files_scanned,
         RULES.len(),
-        applied.visible.len() + applied.baselined,
-        applied.baselined,
     );
-    for f in &applied.visible {
+    for f in &report.findings {
         out.push_str(&f.render());
         out.push('\n');
     }
-    if !applied.exceeded.is_empty() {
-        out.push_str("groups over their baselined count:\n");
-        for e in &applied.exceeded {
-            out.push_str(&format!("  {e}\n"));
-        }
-    }
-    if !applied.stale.is_empty() {
-        out.push_str("stale baseline entries (safe to tighten):\n");
-        for s in &applied.stale {
-            out.push_str(&format!("  {s}\n"));
-        }
-    }
-    if report.unsafe_inventory.is_empty() {
-        out.push_str("unsafe inventory: none\n");
-    } else {
-        out.push_str("unsafe inventory:\n");
-        for u in &report.unsafe_inventory {
-            out.push_str(&format!("  {u}\n"));
-        }
-    }
-    if applied.visible.is_empty() {
+    if n == 0 {
         out.push_str("result: ok\n");
     } else {
-        out.push_str(&format!(
-            "result: FAIL ({} unbaselined finding(s))\n",
-            applied.visible.len()
-        ));
+        // Repeat the count: the gate prints only the report's tail.
+        out.push_str(&format!("result: FAIL ({n} finding(s))\n"));
     }
     out
 }
@@ -324,16 +273,13 @@ pub fn render(report: &ScanReport, applied: &baseline::Applied) -> String {
 /// Renders the report as machine-readable JSON (the `--json` CLI output,
 /// written to `results/audit.json` by the gate). Same determinism
 /// contract as [`render`]: byte-identical across runs and `--jobs`.
-pub fn render_json(report: &ScanReport, applied: &baseline::Applied) -> String {
-    let mut out = String::from("{\n");
-    out.push_str(&format!(
-        "  \"files_scanned\": {},\n  \"rules\": {},\n  \"baselined\": {},\n",
+pub fn render_json(report: &ScanReport) -> String {
+    let mut out = format!(
+        "{{\n  \"files_scanned\": {},\n  \"rules\": {},\n  \"findings\": [",
         report.files_scanned,
-        RULES.len(),
-        applied.baselined
-    ));
-    out.push_str("  \"findings\": [");
-    for (i, f) in applied.visible.iter().enumerate() {
+        RULES.len()
+    );
+    for (i, f) in report.findings.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
@@ -345,33 +291,16 @@ pub fn render_json(report: &ScanReport, applied: &baseline::Applied) -> String {
             json_str(&f.message)
         ));
     }
-    if !applied.visible.is_empty() {
+    if !report.findings.is_empty() {
         out.push_str("\n  ");
     }
-    out.push_str("],\n");
-    json_str_array(&mut out, "exceeded", &applied.exceeded);
-    json_str_array(&mut out, "stale", &applied.stale);
-    json_str_array(&mut out, "unsafe_inventory", &report.unsafe_inventory);
-    out.push_str(&format!(
-        "  \"result\": {}\n}}\n",
-        json_str(if applied.visible.is_empty() {
-            "ok"
-        } else {
-            "fail"
-        })
-    ));
+    let result = if report.findings.is_empty() {
+        "ok"
+    } else {
+        "fail"
+    };
+    out.push_str(&format!("],\n  \"result\": {}\n}}\n", json_str(result)));
     out
-}
-
-fn json_str_array(out: &mut String, key: &str, items: &[String]) {
-    out.push_str(&format!("  \"{key}\": ["));
-    for (i, item) in items.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str(&json_str(item));
-    }
-    out.push_str("],\n");
 }
 
 /// Minimal JSON string escaping (quotes, backslash, control chars).

@@ -3,7 +3,7 @@
 //! Every rule has an id, a scope, and a one-line summary; `--list-rules`
 //! prints this table and DESIGN.md §11 documents it. Adding a rule means
 //! adding one [`RuleInfo`] row plus its check body here — the engine,
-//! pragma filter, baseline, and CLI all key off the table.
+//! pragma filter, and CLI all key off the table.
 
 use crate::lexer::{Comment, Kind, Lexed};
 
@@ -19,7 +19,7 @@ pub enum Scope {
 /// One row of the rule table.
 #[derive(Debug, Clone, Copy)]
 pub struct RuleInfo {
-    /// Stable rule id, used in pragmas and the baseline.
+    /// Stable rule id, used in pragmas.
     pub id: &'static str,
     /// Scope the rule runs at.
     pub scope: Scope,
@@ -64,8 +64,8 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         id: "unsafe-block",
         scope: Scope::File,
-        summary: "unsafe without an adjacent `// SAFETY:` comment; commented sites land \
-                  in the inventory",
+        summary: "any unsafe; the workspace is unsafe-free and a `// SAFETY:` comment \
+                  does not exempt a site",
     },
     RuleInfo {
         id: "serve-ownership",
@@ -212,83 +212,33 @@ fn path_allowed(rel: &str, allow: &[&str]) -> bool {
     allow.iter().any(|a| rel == *a || rel.starts_with(a))
 }
 
-// ---------------------------------------------------------------- pragmas
+// ------------------------------------------------------------- directives
 
-/// A parsed allow pragma: the `pcm-audit:` marker, a rule id in
-/// parentheses, and a mandatory reason.
+/// An allow pragma, `// pcm-audit: allow(<rule>) — <reason>`: the only
+/// way to silence a finding.
 #[derive(Debug, Clone)]
 pub struct Pragma {
     /// Line the pragma comment starts on; it covers this line and the next.
     pub line: u32,
     /// Rule id being allowed.
-    pub rule: String,
-    /// Justification text (must be non-empty).
-    pub reason: String,
+    pub rule: &'static str,
 }
 
-/// Extracts pragmas from a file's comments; malformed ones become
-/// findings under the `pragma` rule.
-pub fn collect_pragmas(
-    rel: &str,
-    comments: &[Comment],
-    findings: &mut Vec<Finding>,
-) -> Vec<Pragma> {
-    let mut pragmas = Vec::new();
-    for c in comments {
-        // Doc comments describe the syntax; only plain comments suppress.
-        if c.text.starts_with("///")
-            || c.text.starts_with("//!")
-            || c.text.starts_with("/**")
-            || c.text.starts_with("/*!")
-        {
-            continue;
-        }
-        let Some(at) = c.text.find("pcm-audit:") else {
-            continue;
-        };
-        // Only `pcm-audit:` immediately followed by `allow(` is a pragma;
-        // prose that merely mentions the tool is left alone.
-        let rest = c.text[at + "pcm-audit:".len()..].trim_start();
-        if !rest.starts_with("allow(") {
-            continue;
-        }
-        let bad = |findings: &mut Vec<Finding>, msg: &str| {
-            findings.push(Finding {
-                file: rel.to_string(),
-                line: c.line,
-                rule: "pragma",
-                message: msg.to_string(),
-            });
-        };
-        let Some(close) = rest.find(')') else {
-            bad(
-                findings,
-                "pragma is missing the closing ')' after the rule id",
-            );
-            continue;
-        };
-        let id = rest["allow(".len()..close].trim();
-        if rule(id).is_none() {
-            bad(findings, &format!("pragma names unknown rule '{id}'"));
-            continue;
-        }
-        let reason = rest[close + 1..]
-            .trim_start_matches([' ', '\t', '-', '—', ':', '–'])
-            .trim();
-        if reason.is_empty() {
-            bad(
-                findings,
-                &format!("pragma allow({id}) needs a reason after the rule id"),
-            );
-            continue;
-        }
-        pragmas.push(Pragma {
-            line: c.line,
-            rule: id.to_string(),
-            reason: reason.to_string(),
-        });
+impl Pragma {
+    /// True when `line` is the pragma's own line or the next one.
+    pub(crate) fn spans(&self, line: u32) -> bool {
+        line == self.line || line == self.line + 1
     }
-    pragmas
+
+    /// True when this pragma silences `f`. A `panic-unwrap`/`panic-macro`
+    /// pragma also covers `panic-reach` at the site: a justified
+    /// can't-happen panic is justified from the wire loop too, without a
+    /// second pragma on the same line.
+    pub fn covers(&self, f: &Finding) -> bool {
+        let rule_hit = self.rule == f.rule
+            || (f.rule == "panic-reach" && matches!(self.rule, "panic-unwrap" | "panic-macro"));
+        rule_hit && self.spans(f.line)
+    }
 }
 
 /// A `root(<rule>)` mark declaring the next fn item an analysis entry
@@ -301,21 +251,28 @@ pub struct RootMark {
     pub rule: &'static str,
 }
 
-/// Extracts `root(<rule>)` marks from a file's comments; malformed ones
-/// (unknown rule, non-root rule, missing reason) become `pragma`
-/// findings.
-pub fn collect_root_marks(
-    rel: &str,
-    comments: &[Comment],
-    findings: &mut Vec<Finding>,
-) -> Vec<RootMark> {
-    let mut marks = Vec::new();
+/// One file's `pcm-audit:` comments, parsed once.
+#[derive(Debug, Default)]
+pub struct Directives {
+    /// Well-formed allow pragmas.
+    pub pragmas: Vec<Pragma>,
+    /// Well-formed root marks.
+    pub roots: Vec<RootMark>,
+    /// One `pragma` finding per malformed directive (unknown rule id, a
+    /// root mark on a rule that takes none, a missing `)` or reason).
+    pub findings: Vec<Finding>,
+}
+
+/// Parses the `pcm-audit: allow(…)` pragmas and `pcm-audit: root(…)`
+/// marks in a file's comments. Doc comments, which describe the syntax,
+/// are skipped, and so is prose that merely mentions the tool: only a
+/// plain comment whose marker is followed by `allow(` or `root(` counts.
+pub fn directives(rel: &str, comments: &[Comment]) -> Directives {
+    let mut out = Directives::default();
     for c in comments {
-        // Doc comments describe the syntax; only plain comments carry marks.
-        if c.text.starts_with("///")
-            || c.text.starts_with("//!")
-            || c.text.starts_with("/**")
-            || c.text.starts_with("/*!")
+        if ["///", "//!", "/**", "/*!"]
+            .iter()
+            .any(|doc| c.text.starts_with(doc))
         {
             continue;
         }
@@ -323,64 +280,58 @@ pub fn collect_root_marks(
             continue;
         };
         let rest = c.text[at + "pcm-audit:".len()..].trim_start();
-        if !rest.starts_with("root(") {
+        let (is_root, args) = if let Some(args) = rest.strip_prefix("allow(") {
+            (false, args)
+        } else if let Some(args) = rest.strip_prefix("root(") {
+            (true, args)
+        } else {
             continue;
-        }
-        let bad = |findings: &mut Vec<Finding>, msg: String| {
-            findings.push(Finding {
+        };
+        let noun = if is_root { "root mark" } else { "pragma" };
+        let mut bad = |message: String| {
+            out.findings.push(Finding {
                 file: rel.to_string(),
                 line: c.line,
                 rule: "pragma",
-                message: msg,
+                message,
             });
         };
-        let Some(close) = rest.find(')') else {
-            bad(
-                findings,
-                "root mark is missing the closing ')' after the rule id".to_string(),
-            );
+        let Some((id, reason)) = args.split_once(')') else {
+            bad(format!(
+                "{noun} is missing the closing ')' after the rule id"
+            ));
             continue;
         };
-        let id = rest["root(".len()..close].trim();
+        let id = id.trim();
         let Some(info) = rule(id) else {
-            bad(findings, format!("root mark names unknown rule '{id}'"));
+            bad(format!("{noun} names unknown rule '{id}'"));
             continue;
         };
-        if !ROOT_RULES.contains(&info.id) {
-            bad(
-                findings,
-                format!("rule '{id}' does not take root() marks (only {ROOT_RULES:?} do)"),
-            );
+        if is_root && !ROOT_RULES.contains(&info.id) {
+            bad(format!(
+                "rule '{id}' does not take root() marks (only {ROOT_RULES:?} do)"
+            ));
             continue;
         }
-        let reason = rest[close + 1..]
+        let reason = reason
             .trim_start_matches([' ', '\t', '-', '—', ':', '–'])
             .trim();
         if reason.is_empty() {
-            bad(
-                findings,
-                format!("root({id}) needs a reason describing the hot-path contract"),
-            );
+            bad(if is_root {
+                format!("root({id}) needs a reason describing the hot-path contract")
+            } else {
+                format!("pragma allow({id}) needs a reason after the rule id")
+            });
             continue;
         }
-        marks.push(RootMark {
-            line: c.line,
-            rule: info.id,
-        });
+        let (line, rule) = (c.line, info.id);
+        if is_root {
+            out.roots.push(RootMark { line, rule });
+        } else {
+            out.pragmas.push(Pragma { line, rule });
+        }
     }
-    marks
-}
-
-/// Drops findings covered by a pragma on the same or preceding line.
-pub fn apply_pragmas(findings: Vec<Finding>, pragmas: &[Pragma]) -> Vec<Finding> {
-    findings
-        .into_iter()
-        .filter(|f| {
-            !pragmas
-                .iter()
-                .any(|p| p.rule == f.rule && (f.line == p.line || f.line == p.line + 1))
-        })
-        .collect()
+    out
 }
 
 // ---------------------------------------------------------------- file rules
@@ -389,20 +340,10 @@ pub fn apply_pragmas(findings: Vec<Finding>, pragmas: &[Pragma]) -> Vec<Finding>
 // with the symbol index.
 pub use crate::parser::test_region_flags;
 
-/// Output of the per-file checks.
-#[derive(Debug, Default)]
-pub struct FileOutput {
-    /// Findings (pragmas already applied).
-    pub findings: Vec<Finding>,
-    /// `file:line` entries for `unsafe` sites carrying a SAFETY comment.
-    pub unsafe_inventory: Vec<String>,
-}
-
-/// Runs every file-scoped rule over one lexed `.rs` file.
-pub fn check_file(rel: &str, lexed: &Lexed) -> FileOutput {
-    let mut out = FileOutput::default();
+/// Runs every file-scoped rule over one lexed `.rs` file. Pragmas are
+/// not applied here: the scan filters every finding through them once.
+pub fn check_file(rel: &str, lexed: &Lexed) -> Vec<Finding> {
     let mut findings = Vec::new();
-    let pragmas = collect_pragmas(rel, &lexed.comments, &mut findings);
     let in_test = test_region_flags(&lexed.tokens);
     let lib = is_lib_code(rel);
     let toks = &lexed.tokens;
@@ -564,31 +505,19 @@ pub fn check_file(rel: &str, lexed: &Lexed) -> FileOutput {
             }
         }
 
-        // unsafe-block: inventory with SAFETY comment, finding without.
+        // unsafe-block: a plain ban, whatever comment precedes the site.
         if t.text == "unsafe" {
-            let has_safety = lexed
-                .comments
-                .iter()
-                .any(|c| c.text.contains("SAFETY:") && c.line + 3 >= t.line && c.line <= t.line);
-            if has_safety {
-                out.unsafe_inventory.push(format!("{rel}:{}", t.line));
-            } else {
-                findings.push(Finding {
-                    file: rel.to_string(),
-                    line: t.line,
-                    rule: "unsafe-block",
-                    message: "`unsafe` without an adjacent `// SAFETY:` comment; the workspace \
-                              is unsafe-free by policy"
-                        .to_string(),
-                });
-            }
+            findings.push(Finding {
+                file: rel.to_string(),
+                line: t.line,
+                rule: "unsafe-block",
+                message: "`unsafe` in a workspace that is unsafe-free by policy; a \
+                          `// SAFETY:` comment does not exempt it"
+                    .to_string(),
+            });
         }
     }
-
-    out.findings = apply_pragmas(findings, &pragmas);
-    out.findings.sort();
-    out.findings.dedup();
-    out
+    findings
 }
 
 // ------------------------------------------------------------ workspace rules
@@ -849,37 +778,95 @@ mod tests {
     fn cfg_test_region_is_skipped() {
         let src = "pub fn f(x: Option<u32>) -> u32 { x.expect(\"set\") }\n\
                    #[cfg(test)]\nmod tests {\n    #[test]\n    fn t() { Some(1).unwrap(); }\n}\n";
-        let out = check_file("crates/core/src/x.rs", &lex(src));
-        assert!(out.findings.is_empty(), "{:?}", out.findings);
+        let findings = check_file("crates/core/src/x.rs", &lex(src));
+        assert!(findings.is_empty(), "{findings:?}");
     }
 
     #[test]
     fn unwrap_in_lib_code_is_flagged_not_in_bins() {
         let src = "pub fn f(x: Option<u32>) -> u32 { x.unwrap() }\n";
-        assert_eq!(
-            check_file("crates/core/src/x.rs", &lex(src)).findings.len(),
-            1
-        );
-        assert!(check_file("crates/core/src/bin/x.rs", &lex(src))
-            .findings
-            .is_empty());
-        assert!(check_file("crates/core/tests/x.rs", &lex(src))
-            .findings
-            .is_empty());
+        assert_eq!(check_file("crates/core/src/x.rs", &lex(src)).len(), 1);
+        assert!(check_file("crates/core/src/bin/x.rs", &lex(src)).is_empty());
+        assert!(check_file("crates/core/tests/x.rs", &lex(src)).is_empty());
+    }
+
+    /// What the scan keeps of one file: the malformed-directive findings
+    /// plus every rule hit, minus whatever a pragma covers.
+    fn kept(src: &str) -> Vec<Finding> {
+        let lexed = lex(src);
+        let d = directives("crates/core/src/x.rs", &lexed.comments);
+        let mut findings = d.findings;
+        findings.extend(check_file("crates/core/src/x.rs", &lexed));
+        findings.retain(|f| !d.pragmas.iter().any(|p| p.covers(f)));
+        findings
     }
 
     #[test]
     fn pragma_suppresses_and_requires_reason() {
         let good = "// pcm-audit: allow(panic-unwrap) — trusted input, fuzzed in tests\n\
                     pub fn f(x: Option<u32>) -> u32 { x.unwrap() }\n";
-        assert!(check_file("crates/core/src/x.rs", &lex(good))
-            .findings
-            .is_empty());
+        assert!(kept(good).is_empty());
         let bare = "// pcm-audit: allow(panic-unwrap)\n\
                     pub fn f(x: Option<u32>) -> u32 { x.unwrap() }\n";
-        let out = check_file("crates/core/src/x.rs", &lex(bare));
-        assert!(out.findings.iter().any(|f| f.rule == "pragma"));
-        assert!(out.findings.iter().any(|f| f.rule == "panic-unwrap"));
+        let findings = kept(bare);
+        assert!(findings.iter().any(|f| f.rule == "pragma"));
+        assert!(findings.iter().any(|f| f.rule == "panic-unwrap"));
+    }
+
+    #[test]
+    fn directives_split_into_pragmas_roots_and_malformed_marks() {
+        let src = "// pcm-audit: allow(panic-unwrap) — vetted\n\
+                   // pcm-audit: root(hotpath-alloc) — per-write loop\n\
+                   // pcm-audit: root(wallclock) — not a root rule\n\
+                   // pcm-audit: allow(nope) — unknown\n\
+                   // pcm-audit: root(panic-reach)\n\
+                   /// pcm-audit: allow(panic-macro) — doc prose is inert\n\
+                   // prose naming pcm-audit: is no directive\n";
+        let d = directives("crates/a/src/lib.rs", &lex(src).comments);
+        let pragmas: Vec<_> = d.pragmas.iter().map(|p| (p.line, p.rule)).collect();
+        assert_eq!(pragmas, [(1, "panic-unwrap")]);
+        let roots: Vec<_> = d.roots.iter().map(|r| (r.line, r.rule)).collect();
+        assert_eq!(roots, [(2, "hotpath-alloc")]);
+        let bad: Vec<_> = d
+            .findings
+            .iter()
+            .map(|f| (f.rule, f.line, f.message.as_str()))
+            .collect();
+        assert_eq!(
+            bad,
+            [
+                (
+                    "pragma",
+                    3,
+                    "rule 'wallclock' does not take root() marks \
+                     (only [\"hotpath-alloc\", \"panic-reach\"] do)"
+                ),
+                ("pragma", 4, "pragma names unknown rule 'nope'"),
+                (
+                    "pragma",
+                    5,
+                    "root(panic-reach) needs a reason describing the hot-path contract"
+                ),
+            ]
+        );
+    }
+
+    #[test]
+    fn panic_pragmas_also_cover_panic_reach() {
+        let at = |rule, line| Finding {
+            file: "crates/serve/src/x.rs".to_string(),
+            line,
+            rule,
+            message: String::new(),
+        };
+        let p = Pragma {
+            line: 4,
+            rule: "panic-unwrap",
+        };
+        assert!(p.covers(&at("panic-unwrap", 5)));
+        assert!(p.covers(&at("panic-reach", 4)));
+        assert!(!p.covers(&at("panic-reach", 6)));
+        assert!(!p.covers(&at("panic-macro", 5)));
     }
 
     #[test]

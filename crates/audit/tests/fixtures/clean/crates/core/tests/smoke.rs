@@ -10,7 +10,6 @@ fn smoke() {
     let _ = (thread_prose(), lane_prose(), ownership_prose());
     let _ = (counts(&v), head(&v), head_unchecked(&v), snapshot(&v));
     let _figs = (CleanFig, RivalFig);
-    let _lanes = (read_lane, probe);
     let mut acc = 0;
     let mut out = cold_setup();
     hot_loop(&mut acc, &mut out);

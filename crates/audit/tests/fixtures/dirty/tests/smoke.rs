@@ -5,7 +5,7 @@
 #[test]
 fn smoke() {
     let _ = (stamp(), wall_secs(), histogram(&[1]), unseeded());
-    let _ = (first(&[2]), boom, read_raw, escaped_lanes);
+    let _ = (first(&[2]), boom, read_raw, read_lane);
     let _ = (fan_out(&[3]), fire_and_forget());
     let _bank: SharedBank;
     let _fleet: GuardedFleet;

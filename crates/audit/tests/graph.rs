@@ -11,12 +11,14 @@ use std::path::PathBuf;
 /// Builds one analysis unit the same way the scanner does.
 fn unit(rel: &str, src: &str) -> Unit {
     let lexed = lexer::lex(src);
-    let mut sink = Vec::new();
-    let pragmas = rules::collect_pragmas(rel, &lexed.comments, &mut sink);
-    let roots = rules::collect_root_marks(rel, &lexed.comments, &mut sink);
+    let rules::Directives {
+        pragmas,
+        roots,
+        findings,
+    } = rules::directives(rel, &lexed.comments);
     assert!(
-        sink.is_empty(),
-        "fixture source has malformed pragmas: {sink:?}"
+        findings.is_empty(),
+        "fixture source has malformed pragmas: {findings:?}"
     );
     let parsed = parser::parse(&lexed);
     Unit {
@@ -161,21 +163,11 @@ fn allow_pragma_on_a_call_line_prunes_the_callee_subtree() {
 
 #[test]
 fn root_mark_attaching_to_nothing_is_reported() {
-    let lexed = lexer::lex(
+    let units = vec![unit(
+        "crates/a/src/lib.rs",
         "// pcm-audit: root(hotpath-alloc) — floats at end of file\n\n\n\n\
          const X: u64 = 1;\n",
-    );
-    let mut sink = Vec::new();
-    let roots = rules::collect_root_marks("crates/a/src/lib.rs", &lexed.comments, &mut sink);
-    assert!(sink.is_empty(), "{sink:?}");
-    let parsed = parser::parse(&lexed);
-    let units = vec![Unit {
-        rel: "crates/a/src/lib.rs".to_string(),
-        lexed,
-        parsed,
-        pragmas: Vec::new(),
-        roots,
-    }];
+    )];
     let idx = SymbolIndex::build(&units, &[]);
     let findings = graph::check(&units, &idx);
     assert!(
@@ -192,13 +184,14 @@ fn doc_comments_describing_the_mark_syntax_are_inert() {
 /// Annotate entry points with `// pcm-audit: root(hotpath-alloc) — why`.\n\
 /// Suppress a vetted call with `// pcm-audit: allow(panic-reach) — why`.\n\
 pub fn document_the_scheme() {}\n";
-    let lexed = lexer::lex(src);
-    let mut sink = Vec::new();
-    let pragmas = rules::collect_pragmas("crates/a/src/lib.rs", &lexed.comments, &mut sink);
-    let roots = rules::collect_root_marks("crates/a/src/lib.rs", &lexed.comments, &mut sink);
-    assert!(sink.is_empty(), "doc comments produced findings: {sink:?}");
-    assert!(pragmas.is_empty());
-    assert!(roots.is_empty());
+    let d = rules::directives("crates/a/src/lib.rs", &lexer::lex(src).comments);
+    assert!(
+        d.findings.is_empty(),
+        "doc comments produced findings: {:?}",
+        d.findings
+    );
+    assert!(d.pragmas.is_empty());
+    assert!(d.roots.is_empty());
 }
 
 #[test]
@@ -275,7 +268,7 @@ fn scan_of_a_throwaway_workspace_matches_the_unit_level_walk() {
 #[test]
 fn unit_level_api_round_trip() {
     // The pieces the scanner composes — lexer, parser, per-file rules,
-    // pragmas, baseline, resolver — each hold up on their own.
+    // directives, resolver — each hold up on their own.
     let src = "/// Doc.\npub fn visible() {}\n\
                #[cfg(test)]\nmod tests { #[test] fn t() { super::visible(); } }\n";
     let lexed = lexer::lex(src);
@@ -297,24 +290,15 @@ fn unit_level_api_round_trip() {
     assert!(!rules::is_lib_code("crates/core/tests/smoke.rs"));
     assert!(rules::GATE_STAGES.contains(&"== audit =="));
 
-    let out: rules::FileOutput = rules::check_file("crates/x/src/lib.rs", &lexed);
-    assert!(out.findings.is_empty() && out.unsafe_inventory.is_empty());
+    assert!(rules::check_file("crates/x/src/lib.rs", &lexed).is_empty());
 
-    let mut sink = Vec::new();
-    let pragmas: Vec<rules::Pragma> =
-        rules::collect_pragmas("crates/x/src/lib.rs", &lexed.comments, &mut sink);
-    assert!(pragmas.is_empty() && sink.is_empty());
-    assert!(rules::apply_pragmas(Vec::new(), &pragmas).is_empty());
-    let marks: Vec<rules::RootMark> =
-        rules::collect_root_marks("crates/x/src/lib.rs", &lexed.comments, &mut sink);
-    assert!(marks.is_empty() && sink.is_empty());
+    let d: rules::Directives = rules::directives("crates/x/src/lib.rs", &lexed.comments);
+    let pragmas: &[rules::Pragma] = &d.pragmas;
+    let marks: &[rules::RootMark] = &d.roots;
+    assert!(pragmas.is_empty() && marks.is_empty() && d.findings.is_empty());
 
     let ctx = rules::WorkspaceCtx::default();
     assert!(rules::check_workspace(&ctx).is_empty());
-
-    let entries: Vec<pcm_audit::baseline::BaselineEntry> =
-        pcm_audit::baseline::parse("").expect("empty baseline");
-    assert!(entries.is_empty());
 
     let units = vec![unit("crates/a/src/lib.rs", src)];
     let idx = SymbolIndex::build(&units, &[]);

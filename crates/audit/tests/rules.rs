@@ -16,9 +16,7 @@ fn fixture(name: &str) -> PathBuf {
 }
 
 fn rendered(root: &Path, jobs: usize) -> String {
-    let report = pcm_audit::scan(root, jobs).expect("fixture scan");
-    let applied = pcm_audit::baseline::apply(report.findings.clone(), &[]);
-    pcm_audit::render(&report, &applied)
+    pcm_audit::render(&pcm_audit::scan(root, jobs).expect("fixture scan"))
 }
 
 #[test]
@@ -79,6 +77,20 @@ fn dirty_fixture_specific_sites() {
 }
 
 #[test]
+fn safety_comment_does_not_exempt_unsafe() {
+    // `unsafe-block` is a plain ban: the fixture's `unsafe` block sits
+    // under a `// SAFETY:` comment and is still a finding.
+    let report = pcm_audit::scan(&fixture("dirty"), 1).expect("fixture scan");
+    let sites: Vec<u32> = report
+        .findings
+        .iter()
+        .filter(|f| f.rule == "unsafe-block" && f.file == "crates/util/src/simd.rs")
+        .map(|f| f.line)
+        .collect();
+    assert_eq!(sites, [8], "{:#?}", report.findings);
+}
+
+#[test]
 fn clean_fixture_reports_nothing() {
     let report = pcm_audit::scan(&fixture("clean"), 1).expect("fixture scan");
     assert!(
@@ -86,14 +98,12 @@ fn clean_fixture_reports_nothing() {
         "near-miss fixture produced findings:\n{:#?}",
         report.findings
     );
-    // The SAFETY-commented unsafe site lands in the inventory, not a finding.
-    assert_eq!(
-        report.unsafe_inventory.len(),
-        1,
-        "inventory: {:?}",
-        report.unsafe_inventory
-    );
-    assert!(report.unsafe_inventory[0].starts_with("crates/util/src/simd.rs:"));
+    // A clean report is the header line plus the verdict.
+    let text = pcm_audit::render(&report);
+    let lines: Vec<&str> = text.lines().collect();
+    assert_eq!(lines.len(), 2, "{text}");
+    assert!(lines[0].ends_with(" rules, 0 finding(s)"), "{text}");
+    assert_eq!(lines[1], "result: ok");
 }
 
 #[test]

@@ -1,7 +1,7 @@
 //! `pcm-lab`: the single entry point to the experiment registry.
 //!
 //! * `pcm-lab list` — every experiment with its paper anchor and scale,
-//! * `pcm-lab run <name…> [--format text|tsv|json]` — run and print,
+//! * `pcm-lab run <name…> [--format text|json]` — run and print,
 //! * `pcm-lab run-all [--jobs N] [--out-dir DIR]` — run the whole
 //!   registry (thread-pool workers, deterministic output order) and write
 //!   `results/<name>.txt` + `results/<name>.json`,
@@ -26,7 +26,7 @@ fn usage() -> String {
          commands:\n\
          \x20 list                         list every registered experiment\n\
          \x20 run <name…> [--format F] [--seeds N] [--shard I/K] [--jobs N]\n\
-         \x20                              run experiments, print to stdout (F: text|tsv|json);\n\
+         \x20                              run experiments, print to stdout (F: text|json);\n\
          \x20                              --seeds fans each one over N derived seeds on the job\n\
          \x20                              pool and merges the reports into mean ± 95% CI rows\n\
          \x20 run-all [--jobs N] [--out-dir DIR]\n\
@@ -181,8 +181,8 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
             _ => unreachable!(),
         }
     }
-    if !matches!(format.as_str(), "text" | "tsv" | "json") {
-        return Err(format!("unknown format '{format}' (text|tsv|json)"));
+    if !matches!(format.as_str(), "text" | "json") {
+        return Err(format!("unknown format '{format}' (text|json)"));
     }
     if shard_given && seeds.is_none() {
         return Err("--shard only makes sense with --seeds".into());
@@ -195,7 +195,6 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     }
     let emit = |report: &Report| match format.as_str() {
         "text" => print!("{}", report.to_text()),
-        "tsv" => print!("{}", report.to_tsv()),
         "json" => print!("{}", report.to_json()),
         _ => unreachable!(),
     };

@@ -5,9 +5,9 @@
 //! [`experiments`] implements [`Experiment`] (name, description, paper
 //! anchor, scale knobs) and returns a typed [`Report`] — tables, series,
 //! and notes under a manifest carrying seed, scale, app list, and
-//! wall-clock. Shared emitters render each report as human text, long
-//! TSV, or JSON; [`report::diff_reports`] compares a fresh run against a
-//! tracked report within per-statistic tolerance bands.
+//! wall-clock. Shared emitters render each report as human text or JSON;
+//! [`report::diff_reports`] compares a fresh run against a tracked report
+//! within per-statistic tolerance bands.
 //!
 //! The `pcm-lab` binary is the single entry point: `list` prints the
 //! registry, `run <name…>` executes experiments, `run-all [--jobs N]`

@@ -3,13 +3,11 @@
 //!
 //! A [`Report`] is a [`Manifest`] (which experiment, at what seed/scale,
 //! over which apps, how long it took) plus [`Table`]s, [`Series`], and
-//! free-form notes. Three emitters render every report identically across
+//! free-form notes. Two emitters render every report identically across
 //! the whole experiment matrix:
 //!
 //! * [`Report::to_text`] — the human format written to
 //!   `results/<name>.txt` (tables, sparklines, bars, notes),
-//! * [`Report::to_tsv`] — long-format TSV (`table\ttitle\trow\tcol\tvalue`)
-//!   for awk/join pipelines across experiments,
 //! * [`Report::to_json`] — the machine format written to
 //!   `results/<name>.json`, parsed back by [`Report::from_json`].
 //!
@@ -377,57 +375,6 @@ impl Report {
         }
         for note in &self.notes {
             s.push_str(&format!("# {note}\n"));
-        }
-        s
-    }
-
-    // ------------------------------------------------------------------ tsv
-
-    /// Renders long-format TSV: one `table`/`series`/`note` record per
-    /// line, with the experiment name in the first field so outputs from
-    /// several experiments concatenate cleanly.
-    pub fn to_tsv(&self) -> String {
-        let mut s = format!(
-            "# experiment={} anchor={} seed={} quick={} apps={}\n",
-            self.manifest.experiment,
-            self.manifest.anchor,
-            self.manifest.seed,
-            self.manifest.quick,
-            self.manifest.apps.join(",")
-        );
-        for t in &self.tables {
-            for row in &t.rows {
-                for (c, v) in t.columns.iter().zip(&row.values) {
-                    s.push_str(&format!(
-                        "{}\ttable\t{}\t{}\t{}\t{}\n",
-                        self.manifest.experiment,
-                        t.title,
-                        row.label,
-                        c.name,
-                        v.render()
-                    ));
-                }
-            }
-        }
-        for series in &self.series {
-            for (i, &v) in series.values.iter().enumerate() {
-                let label = series
-                    .labels
-                    .get(i)
-                    .cloned()
-                    .unwrap_or_else(|| i.to_string());
-                s.push_str(&format!(
-                    "{}\tseries\t{}\t{}\t{:.p$}\n",
-                    self.manifest.experiment,
-                    series.name,
-                    label,
-                    v,
-                    p = series.prec
-                ));
-            }
-        }
-        for note in &self.notes {
-            s.push_str(&format!("{}\tnote\t{}\n", self.manifest.experiment, note));
         }
         s
     }
@@ -1498,15 +1445,6 @@ mod tests {
         assert!(text.contains("# shape: "));
         assert!(text.contains("# Comp    "));
         assert!(text.contains("# a finding"));
-    }
-
-    #[test]
-    fn tsv_emitter_is_long_format() {
-        let tsv = sample().to_tsv();
-        assert!(tsv.starts_with("# experiment=sample anchor=Fig. 0 seed=7 quick=true"));
-        assert!(tsv.contains("sample\ttable\ta \"quoted\" title with ×\tmilc\tcount\t42\n"));
-        assert!(tsv.contains("sample\tseries\taverages\tComp\t1.20\n"));
-        assert!(tsv.contains("sample\tnote\t"));
     }
 
     #[test]

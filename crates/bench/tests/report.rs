@@ -84,21 +84,3 @@ fn diff_rejects_out_of_tolerance_drift() {
     fresh.tables[0].rows.pop();
     assert!(!diff_reports(&tracked, &fresh).passed());
 }
-
-#[test]
-fn tsv_emitter_concatenates_across_experiments() {
-    let opts = small_opts();
-    let a = run_timed(find("fig06_size_change_prob").unwrap(), &opts);
-    let b = run_timed(find("fig11_size_cdf").unwrap(), &opts);
-    let combined = format!("{}{}", a.to_tsv(), b.to_tsv());
-    assert!(combined.contains("fig06_size_change_prob\ttable\t"));
-    assert!(combined.contains("fig11_size_cdf\ttable\t"));
-    // Every data line carries its experiment in column 1.
-    for line in combined.lines().filter(|l| !l.starts_with('#')) {
-        let first = line.split('\t').next().unwrap();
-        assert!(
-            first == "fig06_size_change_prob" || first == "fig11_size_cdf",
-            "unattributed TSV line: {line}"
-        );
-    }
-}

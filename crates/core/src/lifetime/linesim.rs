@@ -84,6 +84,10 @@ impl LineScratch {
     }
 }
 
+/// Demand writes a line receives between two inter-line wear-leveling
+/// relocations of its hosted block (Start-Gap region rotation).
+const RESIDENCY_WRITES: u64 = 4096;
+
 /// Simulates one line to its horizon under the accelerated model.
 ///
 /// The line alternates through *residencies* (a hosted block between two
@@ -116,20 +120,20 @@ pub fn simulate_line_with(cfg: &LineSimConfig, seed: u64, scratch: &mut LineScra
     let mut rng = seeded_rng(child_seed(seed, 0));
     // pcm-audit: allow(hotpath-alloc) — one-time per-line endurance sampling, outside the write loop
     let mut line = ManagedLine::sample_with_tech(&sys.endurance, sys.tech, &mut rng);
-    // pcm-audit: allow(hotpath-alloc) — profile clone happens once per residency, amortized over residency_writes writes
+    // pcm-audit: allow(hotpath-alloc) — profile clone happens once per residency, amortized over RESIDENCY_WRITES writes
     let mut block = BlockStream::new(cfg.profile.clone(), child_seed(seed, 1));
     let mut meta = HostMeta::default();
 
     let mut writes: u64 = 0;
     let mut rotation: usize = 0;
-    let mut residency_left: u64 = sys.residency_writes;
+    let mut residency_left: u64 = RESIDENCY_WRITES;
     let mut block_counter: u64 = 2;
 
     // Death/revival events only happen at residency boundaries (a dead
     // line waits for the next relocation), so the horizon bounds how many
     // can occur; one up-front reservation replaces regrowth in the loop.
     let max_events = if sys.kind.slides() {
-        ((cfg.max_writes / sys.residency_writes.max(1)).min(512) as usize + 1) * 2
+        ((cfg.max_writes / RESIDENCY_WRITES).min(512) as usize + 1) * 2
     } else {
         1
     };
@@ -158,11 +162,11 @@ pub fn simulate_line_with(cfg: &LineSimConfig, seed: u64, scratch: &mut LineScra
             if writes >= cfg.max_writes {
                 break;
             }
-            // pcm-audit: allow(hotpath-alloc) — per-residency block refresh, amortized over residency_writes writes
+            // pcm-audit: allow(hotpath-alloc) — per-residency block refresh, amortized over RESIDENCY_WRITES writes
             block = BlockStream::new(cfg.profile.clone(), child_seed(seed, block_counter));
             block_counter += 1;
             meta = HostMeta::default();
-            residency_left = sys.residency_writes;
+            residency_left = RESIDENCY_WRITES;
             // Resurrection check against the incoming block.
             if revivable(
                 &mut line,
@@ -250,11 +254,11 @@ pub fn simulate_line_with(cfg: &LineSimConfig, seed: u64, scratch: &mut LineScra
 
         // Relocation: a fresh block arrives.
         if residency_left == 0 {
-            // pcm-audit: allow(hotpath-alloc) — per-residency block refresh, amortized over residency_writes writes
+            // pcm-audit: allow(hotpath-alloc) — per-residency block refresh, amortized over RESIDENCY_WRITES writes
             block = BlockStream::new(cfg.profile.clone(), child_seed(seed, block_counter));
             block_counter += 1;
             meta = HostMeta::default();
-            residency_left = sys.residency_writes;
+            residency_left = RESIDENCY_WRITES;
         }
     }
 

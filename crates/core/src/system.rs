@@ -199,9 +199,6 @@ pub struct SystemConfig {
     /// Demand writes a line receives between two intra-line rotations
     /// (paper: a 16-bit counter per bank ≈ 2^10 writes per hot line).
     pub rotation_period: u64,
-    /// Demand writes a line receives between two inter-line wear-leveling
-    /// relocations of its hosted block (Start-Gap region rotation).
-    pub residency_writes: u64,
     /// Start-Gap gap-movement period ψ (used by the functional
     /// controller).
     pub start_gap_psi: u32,
@@ -234,7 +231,6 @@ impl SystemConfig {
             endurance: EnduranceModel::paper(),
             tech: CellTech::Slc,
             rotation_period: 1024,
-            residency_writes: 4096,
             start_gap_psi: 100,
             bank_counter_period: 1 << 16,
             window_step: 1,

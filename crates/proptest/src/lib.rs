@@ -223,7 +223,7 @@ pub mod strategy {
         }
     }
 
-    /// Uniform over the full domain of `T` (`[0, 1)` for floats).
+    /// Uniform over the full domain of `T` (`[0, 1)` for `f64`).
     pub fn any<T: rand::Random + Debug>() -> Any<T> {
         Any(PhantomData)
     }
@@ -477,7 +477,7 @@ pub mod test_runner {
     }
 
     /// Derives the deterministic seed of one case.
-    pub fn case_seed(base: u64, case: u32) -> u64 {
+    fn case_seed(base: u64, case: u32) -> u64 {
         base ^ (case as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
     }
 
@@ -533,13 +533,10 @@ pub mod prop {
 /// The glob-import surface: `use proptest::prelude::*`.
 pub mod prelude {
     pub use crate::prop;
-    pub use crate::strategy::{any, Any, BoxedStrategy, Just, Strategy, Union};
+    pub use crate::strategy::{any, BoxedStrategy, Just, Strategy};
     pub use crate::test_runner::ProptestConfig;
     pub use crate::{prop_assert, prop_assert_eq, prop_assert_ne, prop_oneof, proptest};
 }
-
-pub use strategy::{any, Just, Strategy};
-pub use test_runner::ProptestConfig;
 
 /// A strategy choosing uniformly among the listed alternative strategies
 /// (all must generate the same value type).
@@ -672,9 +669,8 @@ mod tests {
 
     #[test]
     fn deterministic_across_runs() {
-        use crate::strategy::Strategy;
         use rand::SeedableRng;
-        let strat = crate::collection::vec(crate::any::<u64>(), 0..10);
+        let strat = prop::collection::vec(any::<u64>(), 0..10);
         let a = strat.generate(&mut crate::test_runner::TestRng::seed_from_u64(9));
         let b = strat.generate(&mut crate::test_runner::TestRng::seed_from_u64(9));
         assert_eq!(a, b);

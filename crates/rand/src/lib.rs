@@ -35,25 +35,6 @@
 pub trait Rng {
     /// The next 64 uniformly random bits.
     fn next_u64(&mut self) -> u64;
-
-    /// The next 32 uniformly random bits (upper half of
-    /// [`next_u64`](Self::next_u64)).
-    fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
-    /// Fills `dest` with random bytes.
-    fn fill_bytes(&mut self, dest: &mut [u8]) {
-        let mut chunks = dest.chunks_exact_mut(8);
-        for chunk in &mut chunks {
-            chunk.copy_from_slice(&self.next_u64().to_le_bytes());
-        }
-        let rem = chunks.into_remainder();
-        if !rem.is_empty() {
-            let bytes = self.next_u64().to_le_bytes();
-            rem.copy_from_slice(&bytes[..rem.len()]);
-        }
-    }
 }
 
 impl<R: Rng + ?Sized> Rng for &mut R {
@@ -120,7 +101,7 @@ pub mod rngs {
 }
 
 /// Types that can be sampled uniformly from their whole domain
-/// (`f32`/`f64`: uniformly from `[0, 1)`).
+/// (`f64`: uniformly from `[0, 1)`).
 pub trait Random: Sized {
     /// Samples one value.
     fn random<R: Rng + ?Sized>(rng: &mut R) -> Self;
@@ -138,18 +119,6 @@ macro_rules! impl_random_int {
 
 impl_random_int!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
 
-impl Random for u128 {
-    fn random<R: Rng + ?Sized>(rng: &mut R) -> Self {
-        ((rng.next_u64() as u128) << 64) | rng.next_u64() as u128
-    }
-}
-
-impl Random for i128 {
-    fn random<R: Rng + ?Sized>(rng: &mut R) -> Self {
-        u128::random(rng) as i128
-    }
-}
-
 impl Random for bool {
     fn random<R: Rng + ?Sized>(rng: &mut R) -> Self {
         rng.next_u64() & 1 == 1
@@ -160,12 +129,6 @@ impl Random for f64 {
     fn random<R: Rng + ?Sized>(rng: &mut R) -> Self {
         // 53 uniform mantissa bits in [0, 1).
         (rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-}
-
-impl Random for f32 {
-    fn random<R: Rng + ?Sized>(rng: &mut R) -> Self {
-        (rng.next_u64() >> 40) as f32 * (1.0 / (1u64 << 24) as f32)
     }
 }
 
@@ -228,7 +191,7 @@ fn uniform_u64<R: Rng + ?Sized>(rng: &mut R, span: u64) -> u64 {
 
 /// Convenience methods over any [`Rng`], blanket-implemented.
 pub trait RngExt: Rng {
-    /// Samples a value uniformly over `T`'s domain (`[0, 1)` for floats).
+    /// Samples a value uniformly over `T`'s domain (`[0, 1)` for `f64`).
     fn random<T: Random>(&mut self) -> T {
         T::random(self)
     }
@@ -250,13 +213,6 @@ pub trait RngExt: Rng {
     fn random_bool(&mut self, p: f64) -> bool {
         assert!((0.0..=1.0).contains(&p), "probability {p} outside [0, 1]");
         self.random::<f64>() < p
-    }
-
-    /// Returns `true` with probability `numerator / denominator`.
-    fn random_ratio(&mut self, numerator: u32, denominator: u32) -> bool {
-        assert!(denominator > 0, "denominator must be positive");
-        assert!(numerator <= denominator, "ratio above 1");
-        uniform_u64(self, denominator as u64) < numerator as u64
     }
 }
 
@@ -376,13 +332,5 @@ mod tests {
         assert!(v.choose(&mut rng).is_some());
         let empty: [u32; 0] = [];
         assert!(empty.choose(&mut rng).is_none());
-    }
-
-    #[test]
-    fn fill_bytes_covers_tail() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let mut buf = [0u8; 13];
-        super::Rng::fill_bytes(&mut rng, &mut buf);
-        assert!(buf.iter().any(|&b| b != 0));
     }
 }

@@ -53,7 +53,7 @@ echo "   ok"
 # Static-analysis gate: determinism & hygiene lints (DESIGN.md §11) run
 # before anything expensive is built. pcm-audit is dependency-free, so
 # this compiles in seconds even on a cold target/. Fails non-zero on any
-# finding not covered by audit-baseline.toml; --quick does not skip it.
+# finding no inline pragma covers; --quick does not skip it.
 echo "== audit =="
 if ! /usr/bin/timeout 600 cargo run -q --release -p pcm-audit --bin pcm-audit > results/audit.txt 2>&1; then
   echo "   AUDIT FAILED (see results/audit.txt)" >&2
@@ -77,6 +77,15 @@ cargo build -q --release -p pcm-bench 2>/dev/null
 echo "== verify =="
 if ! /usr/bin/timeout 3000 cargo run -q --release --bin pcm-verify -- ${VERIFY_ARGS[@]+"${VERIFY_ARGS[@]}"} > results/verify.txt 2>&1; then
   echo "   VERIFY FAILED (see results/verify.txt)" >&2
+  tail -n 20 results/verify.txt >&2
+  exit 1
+fi
+# The harness checks itself (DESIGN.md §8): with the ECC mutation switches
+# compiled in, the churn checks must catch a mis-wired ECP pointer and a
+# mis-mapped SAFER partition, or the green runs above prove nothing.
+if ! /usr/bin/timeout 1200 cargo test -q --release --offline -p pcm-core \
+    --features verify-mutations mutation_tests >> results/verify.txt 2>&1; then
+  echo "   VERIFY SELF-CHECK FAILED (see results/verify.txt)" >&2
   tail -n 20 results/verify.txt >&2
   exit 1
 fi

@@ -124,6 +124,35 @@ fn audit_stage_emits_the_json_twin() {
 }
 
 #[test]
+fn verify_stage_runs_the_harness_self_check() {
+    let script = gate_script();
+    // `verify::mutation_tests` prove the churn checks catch a mis-wired
+    // scheme (DESIGN.md §8); tier-1 builds without the feature, so the
+    // gate is where they run.
+    let verify = script.find("== verify ==").expect("verify stage present");
+    let examples = script
+        .find("== examples ==")
+        .expect("examples stage present");
+    let stage = &script[verify..examples];
+    let at = stage
+        .find("-p pcm-core")
+        .expect("verify stage must test pcm-core with its mutation switches");
+    let check = &stage[at..];
+    assert!(
+        check.contains("--features verify-mutations mutation_tests"),
+        "verify stage must run the verify-mutations self-check:\n{stage}"
+    );
+    assert!(
+        check.contains(">> results/verify.txt"),
+        "the self-check appends to the verify artifact, adding no new stem:\n{stage}"
+    );
+    assert!(
+        check.contains("exit 1") && !stage.contains("if [ \"$"),
+        "self-check failures must abort the gate, unconditionally:\n{stage}"
+    );
+}
+
+#[test]
 fn rivals_stage_is_present_ordered_and_unconditional() {
     let script = gate_script();
     let rivals = script
