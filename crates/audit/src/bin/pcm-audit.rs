@@ -1,10 +1,11 @@
 //! CLI for the workspace determinism & hygiene audit.
 //!
 //! Exit status: 0 when no finding is left after the inline pragmas, 1 on
-//! findings, 2 on usage or I/O errors. The report is deterministic —
-//! byte-identical across runs and `--jobs` settings — so the gate can
-//! diff it.
+//! findings, 2 on usage or I/O errors, a closed stdout included. The
+//! report is deterministic — byte-identical across runs and `--jobs`
+//! settings — so the gate can diff it.
 
+use std::io::Write;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -31,6 +32,7 @@ struct Args {
     jobs: usize,
     json: bool,
     list_rules: bool,
+    help: bool,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -39,6 +41,7 @@ fn parse_args() -> Result<Args, String> {
         jobs: 1,
         json: false,
         list_rules: false,
+        help: false,
     };
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
@@ -59,8 +62,8 @@ fn parse_args() -> Result<Args, String> {
             "--json" => args.json = true,
             "--list-rules" => args.list_rules = true,
             "-h" | "--help" => {
-                println!("{USAGE}");
-                std::process::exit(0);
+                args.help = true;
+                break;
             }
             other => return Err(format!("unknown argument '{other}' (see --help)")),
         }
@@ -68,30 +71,51 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
+/// The rule table: one row per rule, the scope column aligned after the
+/// longest rule id.
+fn rule_table() -> String {
+    let width = pcm_audit::RULES
+        .iter()
+        .map(|r| r.id.len())
+        .max()
+        .unwrap_or(0);
+    let mut table = format!("{:<width$} {:<10} summary\n", "rule", "scope");
+    for r in pcm_audit::RULES {
+        let scope = match r.scope {
+            pcm_audit::rules::Scope::File => "file",
+            pcm_audit::rules::Scope::Workspace => "workspace",
+        };
+        let summary = r.summary.split_whitespace().collect::<Vec<_>>().join(" ");
+        table += &format!("{:<width$} {scope:<10} {summary}\n", r.id);
+    }
+    table
+}
+
+/// Writes `text` to stdout; a failed write (a closed pipe, a full disk)
+/// is an I/O error, not a panic.
+fn emit(text: &str) -> Result<(), String> {
+    let mut out = std::io::stdout().lock();
+    out.write_all(text.as_bytes())
+        .and_then(|()| out.flush())
+        .map_err(|e| format!("cannot write to stdout: {e}"))
+}
+
 fn run() -> Result<bool, String> {
     let args = parse_args()?;
+    if args.help {
+        emit(&format!("{USAGE}\n"))?;
+        return Ok(true);
+    }
     if args.list_rules {
-        println!("{:<14} {:<10} summary", "rule", "scope");
-        for r in pcm_audit::RULES {
-            let scope = match r.scope {
-                pcm_audit::rules::Scope::File => "file",
-                pcm_audit::rules::Scope::Workspace => "workspace",
-            };
-            println!(
-                "{:<14} {:<10} {}",
-                r.id,
-                scope,
-                r.summary.split_whitespace().collect::<Vec<_>>().join(" ")
-            );
-        }
+        emit(&rule_table())?;
         return Ok(true);
     }
 
     let report = pcm_audit::scan(&args.root, args.jobs)?;
     if args.json {
-        print!("{}", pcm_audit::render_json(&report));
+        emit(&pcm_audit::render_json(&report))?;
     } else {
-        print!("{}", pcm_audit::render(&report));
+        emit(&pcm_audit::render(&report))?;
     }
     Ok(report.findings.is_empty())
 }

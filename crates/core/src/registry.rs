@@ -82,7 +82,10 @@ pub fn ecc_scheme(choice: EccChoice) -> &'static dyn HardErrorScheme {
 }
 
 /// Per-line ECC correction state from the most recent write.
-#[derive(Debug, Clone)]
+///
+/// Every variant is a fixed-size value, so storing one never touches the
+/// heap.
+#[derive(Debug, Clone, Copy)]
 pub(crate) enum EccCode {
     /// No write yet.
     None,
@@ -97,6 +100,13 @@ pub(crate) enum EccCode {
     /// Coset transform tag + ECP pointers for the transformed payload.
     Coset(u16, EcpCode),
 }
+
+// `EccCode` must stay `Copy`: a heap-owning code type would fail here,
+// while `hotpath-alloc` cannot see the `.collect()` that builds one.
+const _: () = {
+    const fn copy<T: Copy>() {}
+    copy::<EccCode>()
+};
 
 /// Encodes `target` under `choice` around the window's stuck cells
 /// `faults`, returning the line to program and its correction state.

@@ -35,7 +35,9 @@
 //! first-match scan over `0..=t` picks. It does: a partition clashes
 //! exactly when two of the faults share one of its groups, which does not
 //! depend on the order the faults come in, so the clash mask after every
-//! fault is the same as a forward pass's.
+//! fault is the same as a forward pass's. `write` and `can_store_mask`
+//! therefore run the per-fault step straight over the window's fault
+//! mask, in ascending order, and list no positions.
 
 use crate::scheme::{EccError, HardErrorScheme};
 use pcm_util::fault::FaultMap;
@@ -70,27 +72,19 @@ pub struct Aegis {
 }
 
 /// The per-line Aegis state: the chosen partition and per-group inversions.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct AegisCode {
     /// Partition id: `0..t` are slopes, `t` is the horizontal partition.
     pub partition: u32,
-    /// Inversion flag per group (length `u` for slopes, `t` for horizontal;
-    /// always allocated at `u` ≥ `t`).
-    pub inversions: Vec<bool>,
+    /// Bit `g` inverts group `g`; no bit is set at or above `u`.
+    pub inversions: u32,
 }
 
 fn is_prime(n: u32) -> bool {
-    if n < 2 {
-        return false;
-    }
-    let mut d = 2;
-    while d * d <= n {
-        if n % d == 0 {
-            return false;
-        }
-        d += 1;
-    }
-    true
+    n >= 2
+        && (2..)
+            .take_while(|d| d * d <= n)
+            .all(|d| !n.is_multiple_of(d))
 }
 
 impl Aegis {
@@ -163,28 +157,55 @@ impl Aegis {
 
     /// The one partition search, from the highest fault down.
     ///
-    /// Each fault's row first marks, in `clashed`, the partitions whose
-    /// occupancy word already holds its group, then ORs itself into the
-    /// occupancy words. So after fault `i`, `clashed` holds the partitions
-    /// with two of `fault_positions[i..]` in one group. Returns `Err(i)`
-    /// at the first fault that leaves all `t + 1` bits set (the shortest
-    /// unstorable suffix), or `Ok(clashed)` over all faults.
+    /// Each fault's [`occupy`](Self::occupy) step marks the partitions
+    /// that already hold its group, so after fault `i`, `clashed` holds
+    /// the partitions with two of `fault_positions[i..]` in one group.
+    /// Returns `Err(i)` at the first fault that leaves all `t + 1` bits set
+    /// (the shortest unstorable suffix), or `Ok(clashed)` over all faults.
     fn scan_down(&self, fault_positions: &[u16]) -> Result<u32, usize> {
-        // t + 1 low bits; t = 31 fills the word, so no `1 << (t + 1)`.
-        let all = u32::MAX >> (31 - self.t);
         let mut seen = [0u32; LANES];
         let mut clashed = 0u32;
         for (i, &pos) in fault_positions.iter().enumerate().rev() {
-            let row = &self.lanes[pos as usize];
-            for k in 0..LANES {
-                clashed |= u32::from(seen[k] & row[k] != 0) << k;
-                seen[k] |= row[k];
-            }
-            if clashed == all {
+            if self.occupy(&mut seen, &mut clashed, pos.into()) {
                 return Err(i);
             }
         }
         Ok(clashed)
+    }
+
+    /// [`scan_down`](Self::scan_down) read straight off a fault mask, in
+    /// ascending order: the clash mask over all faults, or `None` when
+    /// every partition clashes.
+    fn clash_mask(&self, faults: &Line512) -> Option<u32> {
+        let mut seen = [0u32; LANES];
+        let mut clashed = 0u32;
+        for pos in faults.iter_ones() {
+            if self.occupy(&mut seen, &mut clashed, pos) {
+                return None;
+            }
+        }
+        Some(clashed)
+    }
+
+    /// One fault's step of the search (see the module docs): marks its
+    /// clashes, then ORs its row into `seen`. Returns whether every
+    /// partition now clashes.
+    #[inline(always)]
+    fn occupy(&self, seen: &mut [u32; LANES], clashed: &mut u32, pos: usize) -> bool {
+        let row = &self.lanes[pos];
+        for k in 0..LANES {
+            *clashed |= u32::from(seen[k] & row[k] != 0) << k;
+            seen[k] |= row[k];
+        }
+        // t + 1 low bits; t = 31 fills the word, so no `1 << (t + 1)`.
+        *clashed == u32::MAX >> (31 - self.t)
+    }
+
+    /// The groups of partition `k` that hold a cell of `cells`.
+    fn groups(&self, cells: &Line512, k: u32) -> u32 {
+        cells
+            .iter_ones()
+            .fold(0, |acc, pos| acc | self.lanes[pos][k as usize])
     }
 
     /// Stores `data` into a line with the given faults; see
@@ -201,60 +222,48 @@ impl Aegis {
         data: &Line512,
         faults: &FaultMap,
     ) -> Result<(Line512, AegisCode), EccError> {
-        let mut buf = [0u16; DATA_BITS];
-        let chosen = self
-            .find_partition(faults.positions().ones_into(&mut buf))
-            .or_else(|| (0..=self.t).find(|&k| self.inversions_for(k, data, faults).is_some()));
-        let Some(k) = chosen else {
+        // The faults whose stuck value differs from the data: their
+        // groups are the ones to invert.
+        let disagree = faults.apply(*data) ^ *data;
+        let chosen = match self.clash_mask(&faults.positions()) {
+            // The padding bits above t never clash, so the lowest clear
+            // bit is a partition that separates the faults.
+            Some(clashed) => Some((!clashed).trailing_zeros()),
+            // Failing that, a partition whose shared groups hold only
+            // faults that agree on their inversion still stores this data.
+            None => {
+                let agree = faults.positions() & !disagree;
+                (0..=self.t).find(|&k| self.groups(&agree, k) & self.groups(&disagree, k) == 0)
+            }
+        };
+        let Some(partition) = chosen else {
             return Err(EccError::TooManyFaults {
                 scheme: self.name(),
                 faults: faults.count(),
             });
         };
-        let inversions = self
-            .inversions_for(k, data, faults)
-            .expect("partition was validated");
-        let stored = faults.apply(self.transform(data, k, &inversions));
-        Ok((
-            stored,
-            AegisCode {
-                partition: k,
-                inversions,
-            },
-        ))
+        let code = AegisCode {
+            partition,
+            inversions: self.groups(&disagree, partition),
+        };
+        Ok((faults.apply(self.transform(data, &code)), code))
     }
 
     /// Reconstructs the original data from a physical line and its code.
     pub fn read(&self, stored: &Line512, code: &AegisCode) -> Line512 {
-        self.transform(stored, code.partition, &code.inversions)
+        self.transform(stored, code)
     }
 
-    fn transform(&self, line: &Line512, k: u32, inversions: &[bool]) -> Line512 {
+    /// XORs the mask of every group `code` inverts into `line`.
+    fn transform(&self, line: &Line512, code: &AegisCode) -> Line512 {
+        let masks = &self.group_masks[code.partition as usize];
         let mut out = *line;
-        for (g, &inv) in inversions.iter().enumerate() {
-            if inv {
-                out = out ^ self.group_masks[k as usize][g];
-            }
+        let mut bits = code.inversions;
+        while bits != 0 {
+            out = out ^ masks[bits.trailing_zeros() as usize];
+            bits &= bits - 1;
         }
         out
-    }
-
-    fn inversions_for(&self, k: u32, data: &Line512, faults: &FaultMap) -> Option<Vec<bool>> {
-        // pcm-audit: allow(hotpath-alloc) — the inversion vector is the stored per-line code word, not scratch; it escapes into AegisCode
-        let mut inversions = vec![false; self.u as usize];
-        // Groups already constrained, one bit per group (groups < u ≤ 31).
-        let mut fixed = 0u32;
-        for f in faults.iter() {
-            let bit = self.lanes[f.pos as usize][k as usize];
-            let g = bit.trailing_zeros() as usize;
-            let needed = data.bit(f.pos as usize) != f.value;
-            if fixed & bit != 0 && inversions[g] != needed {
-                return None;
-            }
-            inversions[g] = needed;
-            fixed |= bit;
-        }
-        Some(inversions)
     }
 }
 
@@ -289,6 +298,10 @@ impl HardErrorScheme for Aegis {
 
     fn can_store(&self, fault_positions: &[u16]) -> bool {
         self.scan_down(fault_positions).is_ok()
+    }
+
+    fn can_store_mask(&self, window_faults: &Line512) -> bool {
+        self.clash_mask(window_faults).is_some()
     }
 
     fn unstorable_suffix(&self, fault_positions: &[u16]) -> Option<usize> {

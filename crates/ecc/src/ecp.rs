@@ -31,28 +31,36 @@ pub struct Ecp {
 }
 
 /// The per-line ECP correction state: one `(pointer, replacement)` pair per
-/// covered fault.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+/// covered fault, held as a mask of the pointed-to cells and the
+/// replacement bits at those cells.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct EcpCode {
-    pairs: Vec<(u16, bool)>,
+    pointers: Line512,
+    /// Zero outside `pointers`.
+    replacements: Line512,
 }
 
 impl EcpCode {
-    /// The `(position, replacement bit)` pairs in use.
-    pub fn pairs(&self) -> &[(u16, bool)] {
-        &self.pairs
+    /// The `(position, replacement bit)` pairs in use, in position order.
+    pub fn pairs(&self) -> impl Iterator<Item = (u16, bool)> + '_ {
+        self.pointers
+            .iter_ones()
+            .map(|pos| (pos as u16, self.replacements.bit(pos)))
     }
 
-    /// Creates a code from raw pairs (used by the metadata codec).
+    /// Creates a code from raw pairs (used by the metadata codec); a
+    /// repeated position keeps its last replacement bit.
     ///
     /// # Panics
     ///
     /// Panics if any position is out of range.
-    pub fn from_pairs(pairs: Vec<(u16, bool)>) -> Self {
-        assert!(pairs
-            .iter()
-            .all(|&(p, _)| (p as usize) < pcm_util::DATA_BITS));
-        EcpCode { pairs }
+    pub fn from_pairs(pairs: impl IntoIterator<Item = (u16, bool)>) -> Self {
+        let mut code = EcpCode::default();
+        for (pos, bit) in pairs {
+            code.pointers.set_bit(pos.into(), true);
+            code.replacements.set_bit(pos.into(), bit);
+        }
+        code
     }
 }
 
@@ -97,28 +105,26 @@ impl Ecp {
                 faults: faults.count(),
             });
         }
-        let stored = faults.apply(*data);
-        let pairs = faults
-            .iter()
-            .map(|f| (f.pos, data.bit(f.pos as usize)))
-            .collect();
-        Ok((stored, EcpCode { pairs }))
+        let pointers = faults.positions();
+        let code = EcpCode {
+            pointers,
+            replacements: *data & pointers,
+        };
+        Ok((faults.apply(*data), code))
     }
 
-    /// Reconstructs the original data from a physical line and its code.
+    /// Reconstructs the original data from a physical line and its code:
+    /// the replacement bits overwrite the pointed-to cells.
     pub fn read(&self, stored: &Line512, code: &EcpCode) -> Line512 {
-        let mut out = *stored;
-        for &(pos, bit) in &code.pairs {
-            #[cfg(feature = "verify-mutations")]
-            let pos = if crate::mutation::active() == crate::mutation::Mutation::EcpPointerOffByOne
-            {
-                (pos + 1) % pcm_util::DATA_BITS as u16
-            } else {
-                pos
-            };
-            out.set_bit(pos as usize, bit);
+        #[cfg(feature = "verify-mutations")]
+        if crate::mutation::active() == crate::mutation::Mutation::EcpPointerOffByOne {
+            let mut out = *stored;
+            for (pos, bit) in code.pairs() {
+                out.set_bit((usize::from(pos) + 1) % pcm_util::DATA_BITS, bit);
+            }
+            return out;
         }
-        out
+        (*stored & !code.pointers) | code.replacements
     }
 }
 
@@ -243,7 +249,7 @@ mod tests {
         let ecp = Ecp::ecp6();
         let (stored, code) = ecp.write(&data, &FaultMap::new()).unwrap();
         assert_eq!(stored, data);
-        assert!(code.pairs().is_empty());
+        assert_eq!(code.pairs().count(), 0);
         assert_eq!(ecp.read(&stored, &code), data);
     }
 }

@@ -10,6 +10,13 @@
 //! ECP-6 leaves three spare bits; the paper dedicates one of them to the
 //! per-line *compressed* flag, so compression metadata costs no extra
 //! storage on the ECC chip.
+//!
+//! Each code type is a fixed-size `Copy` value that mirrors its layout, so
+//! writing one allocates nothing and packing it is a few shifts:
+//! [`AegisCode`] is the partition id and a `u32` of inversion bits,
+//! [`SaferCode`] the subset mask and a 256-bit set of inversion bits, and
+//! [`EcpCode`] a mask of the pointed-to cells beside their replacement
+//! bits.
 
 use crate::aegis::AegisCode;
 use crate::ecp::EcpCode;
@@ -35,27 +42,23 @@ impl std::fmt::Display for UnpackError {
 impl std::error::Error for UnpackError {}
 
 /// Packs an ECP-6 code into its 61-bit layout:
-/// bits `[0,60)` hold six 10-bit entries (9-bit pointer, 1 replacement bit),
-/// bits `[60]`.. unused entries are marked by pointer `0x1FF` with
-/// replacement 1 (an otherwise impossible all-ones sentinel is avoided by
-/// storing the entry count in the top 3 bits instead).
-///
-/// Layout: `count (3 bits) << 60 | entries`, entry `i` at `i * 10`.
+/// `count (3 bits) << 60 | entries`, where entry `i` (in position order)
+/// sits at bit `i * 10` as a 9-bit pointer above its replacement bit.
 ///
 /// # Errors
 ///
 /// Returns [`UnpackError`] if more than six pairs are present.
 pub fn pack_ecp6(code: &EcpCode) -> Result<u64, UnpackError> {
-    let pairs = code.pairs();
-    if pairs.len() > 6 {
+    let count = code.pairs().count();
+    if count > 6 {
         return Err(UnpackError("ECP-6 holds at most six entries"));
     }
-    let mut word = (pairs.len() as u64) << 60;
-    for (i, &(pos, bit)) in pairs.iter().enumerate() {
-        let entry = ((pos as u64) << 1) | bit as u64;
-        word |= entry << (i * 10);
-    }
-    Ok(word)
+    Ok(code
+        .pairs()
+        .enumerate()
+        .fold((count as u64) << 60, |word, (i, (pos, bit))| {
+            word | (u64::from(pos) << 1 | u64::from(bit)) << (i * 10)
+        }))
 }
 
 /// Unpacks a 61-bit ECP-6 code.
@@ -68,14 +71,10 @@ pub fn unpack_ecp6(word: u64) -> Result<EcpCode, UnpackError> {
     if count > 6 {
         return Err(UnpackError("ECP-6 count field exceeds six"));
     }
-    let mut pairs = Vec::with_capacity(count);
-    for i in 0..count {
-        let entry = (word >> (i * 10)) & 0x3FF;
-        let pos = (entry >> 1) as u16;
-        let bit = entry & 1 == 1;
-        pairs.push((pos, bit));
-    }
-    Ok(EcpCode::from_pairs(pairs))
+    Ok(EcpCode::from_pairs((0..count).map(|i| {
+        let entry = word >> (i * 10);
+        ((entry >> 1 & 0x1FF) as u16, entry & 1 == 1)
+    })))
 }
 
 /// Packs a SAFER-32 code: subset index (7 bits, an index into the canonical
@@ -84,17 +83,14 @@ pub fn unpack_ecp6(word: u64) -> Result<EcpCode, UnpackError> {
 /// # Errors
 ///
 /// Returns [`UnpackError`] if the subset mask is not a valid 5-of-9 mask or
-/// the inversion vector is not 32 long.
+/// an inversion bit lies past group 31.
 pub fn pack_safer32(code: &SaferCode) -> Result<u64, UnpackError> {
-    if code.inversions.len() != 32 {
-        return Err(UnpackError("SAFER-32 needs exactly 32 inversion bits"));
+    let [low, high @ ..] = code.inversions;
+    if low >> 32 != 0 || high != [0; 3] {
+        return Err(UnpackError("SAFER-32 inverts only groups 0..32"));
     }
     let index = subset_index(code.subset_mask).ok_or(UnpackError("invalid SAFER subset mask"))?;
-    let mut word = index as u64;
-    for (i, &inv) in code.inversions.iter().enumerate() {
-        word |= (inv as u64) << (7 + i);
-    }
-    Ok(word)
+    Ok(index as u64 | low << 7)
 }
 
 /// Unpacks a 39-bit SAFER-32 code.
@@ -105,10 +101,9 @@ pub fn pack_safer32(code: &SaferCode) -> Result<u64, UnpackError> {
 pub fn unpack_safer32(word: u64) -> Result<SaferCode, UnpackError> {
     let index = (word & 0x7F) as usize;
     let mask = subset_from_index(index).ok_or(UnpackError("SAFER subset index out of range"))?;
-    let inversions = (0..32).map(|i| (word >> (7 + i)) & 1 == 1).collect();
     Ok(SaferCode {
         subset_mask: mask,
-        inversions,
+        inversions: [word >> 7 & 0xFFFF_FFFF, 0, 0, 0],
     })
 }
 
@@ -116,20 +111,16 @@ pub fn unpack_safer32(word: u64) -> Result<SaferCode, UnpackError> {
 ///
 /// # Errors
 ///
-/// Returns [`UnpackError`] if the partition id exceeds 17 or the inversion
-/// vector is longer than 31.
+/// Returns [`UnpackError`] if the partition id exceeds 17 or an inversion
+/// bit lies past group 30.
 pub fn pack_aegis_17x31(code: &AegisCode) -> Result<u64, UnpackError> {
     if code.partition > 17 {
         return Err(UnpackError("Aegis 17x31 partition id exceeds 17"));
     }
-    if code.inversions.len() > 31 {
-        return Err(UnpackError("Aegis 17x31 holds at most 31 inversion bits"));
+    if code.inversions >> 31 != 0 {
+        return Err(UnpackError("Aegis 17x31 inverts only groups 0..31"));
     }
-    let mut word = code.partition as u64;
-    for (i, &inv) in code.inversions.iter().enumerate() {
-        word |= (inv as u64) << (5 + i);
-    }
-    Ok(word)
+    Ok(u64::from(code.partition) | u64::from(code.inversions) << 5)
 }
 
 /// Unpacks a 36-bit Aegis 17×31 code.
@@ -142,25 +133,16 @@ pub fn unpack_aegis_17x31(word: u64) -> Result<AegisCode, UnpackError> {
     if partition > 17 {
         return Err(UnpackError("Aegis 17x31 partition id exceeds 17"));
     }
-    let inversions = (0..31).map(|i| (word >> (5 + i)) & 1 == 1).collect();
     Ok(AegisCode {
         partition,
-        inversions,
+        inversions: (word >> 5 & 0x7FFF_FFFF) as u32,
     })
 }
 
 /// Canonical index of a 5-of-9 subset mask (ascending mask order).
 fn subset_index(mask: u16) -> Option<usize> {
-    if mask >= 1 << 9 || mask.count_ones() != 5 {
-        return None;
-    }
-    let mut idx = 0;
-    for m in 0u16..mask {
-        if m.count_ones() == 5 {
-            idx += 1;
-        }
-    }
-    Some(idx)
+    (mask < 1 << 9 && mask.count_ones() == 5)
+        .then(|| (0..mask).filter(|m| m.count_ones() == 5).count())
 }
 
 /// Inverse of [`subset_index`].
@@ -174,7 +156,7 @@ mod tests {
 
     #[test]
     fn ecp6_round_trip() {
-        let code = EcpCode::from_pairs(vec![(0, true), (511, false), (256, true)]);
+        let code = EcpCode::from_pairs([(0, true), (511, false), (256, true)]);
         let word = pack_ecp6(&code).unwrap();
         assert!(word >> ECP6_BITS <= 0b111, "fits 61+3 bits");
         assert_eq!(unpack_ecp6(word).unwrap(), code);
@@ -184,13 +166,13 @@ mod tests {
     fn ecp6_empty_and_full() {
         let empty = EcpCode::default();
         assert_eq!(unpack_ecp6(pack_ecp6(&empty).unwrap()).unwrap(), empty);
-        let full = EcpCode::from_pairs((0..6).map(|i| (i * 85, i % 2 == 0)).collect());
+        let full = EcpCode::from_pairs((0..6).map(|i| (i * 85, i % 2 == 0)));
         assert_eq!(unpack_ecp6(pack_ecp6(&full).unwrap()).unwrap(), full);
     }
 
     #[test]
     fn ecp6_rejects_seven() {
-        let code = EcpCode::from_pairs((0..7).map(|i| (i, true)).collect());
+        let code = EcpCode::from_pairs((0..7).map(|i| (i, true)));
         assert!(pack_ecp6(&code).is_err());
     }
 
@@ -199,7 +181,7 @@ mod tests {
         let mask = 0b0_0001_1111; // lowest five bits: a valid 5-of-9 subset
         let code = SaferCode {
             subset_mask: mask,
-            inversions: (0..32).map(|i| i % 3 == 0).collect(),
+            inversions: [0x4924_9249, 0, 0, 0], // every third group
         };
         let word = pack_safer32(&code).unwrap();
         assert!(word < 1 << SAFER32_BITS);
@@ -224,7 +206,7 @@ mod tests {
     fn safer32_rejects_bad_mask() {
         let code = SaferCode {
             subset_mask: 0b11,
-            inversions: vec![false; 32],
+            inversions: [0; 4],
         };
         assert!(pack_safer32(&code).is_err());
     }
@@ -234,7 +216,7 @@ mod tests {
         for partition in [0u32, 5, 17] {
             let code = AegisCode {
                 partition,
-                inversions: (0..31).map(|i| i % 2 == 1).collect(),
+                inversions: 0x2AAA_AAAA, // the odd groups
             };
             let word = pack_aegis_17x31(&code).unwrap();
             assert!(word < 1 << AEGIS_17X31_BITS);
@@ -246,7 +228,7 @@ mod tests {
     fn aegis_rejects_bad_partition() {
         let code = AegisCode {
             partition: 18,
-            inversions: vec![false; 31],
+            inversions: 0,
         };
         assert!(pack_aegis_17x31(&code).is_err());
         assert!(unpack_aegis_17x31(18).is_err());

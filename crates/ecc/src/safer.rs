@@ -56,12 +56,13 @@ pub struct Safer {
 
 /// The per-line SAFER state: the chosen index-bit subset and the per-group
 /// inversion bits.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SaferCode {
     /// 9-bit mask selecting the partition's index bits.
     pub subset_mask: u16,
-    /// Inversion flag for each group (length = group count).
-    pub inversions: Vec<bool>,
+    /// Bit `g % 64` of word `g / 64` inverts group `g` (at most 256
+    /// groups); no bit is set at or above the group count.
+    pub inversions: [u64; 4],
 }
 
 /// Extracts the bits of `pos` selected by `mask`, packed densely
@@ -230,17 +231,13 @@ impl Safer {
                 faults: faults.count(),
             });
         };
-        let inversions = self
-            .inversions_for(mask, data, faults)
-            .expect("partition was validated");
-        let stored = faults.apply(self.transform(data, mask, &inversions));
-        Ok((
-            stored,
-            SaferCode {
-                subset_mask: mask,
-                inversions,
-            },
-        ))
+        // Invert the groups of the faults whose stuck value differs from
+        // the data.
+        let code = SaferCode {
+            subset_mask: mask,
+            inversions: groups(&(faults.apply(*data) ^ *data), mask),
+        };
+        Ok((faults.apply(self.transform(data, &code)), code))
     }
 
     /// Reconstructs the original data from a physical line and its code.
@@ -254,55 +251,56 @@ impl Safer {
                 .iter()
                 .position(|&m| m == code.subset_mask)
                 .expect("mask comes from this scheme's subset list");
-            let wrong = self.subsets[(idx + 1) % self.subsets.len()];
-            return self.transform(stored, wrong, &code.inversions);
+            let wrong = SaferCode {
+                subset_mask: self.subsets[(idx + 1) % self.subsets.len()],
+                ..*code
+            };
+            return self.transform(stored, &wrong);
         }
         // Inversion is an involution: applying the same per-group flips
         // recovers the data, and stuck cells were made to agree at write.
-        self.transform(stored, code.subset_mask, &code.inversions)
+        self.transform(stored, code)
     }
 
     /// Applies per-group inversions to a line (a XOR per inverted group).
-    fn transform(&self, line: &Line512, mask: u16, inversions: &[bool]) -> Line512 {
+    fn transform(&self, line: &Line512, code: &SaferCode) -> Line512 {
         debug_assert!(
-            self.subsets.contains(&mask),
+            self.subsets.contains(&code.subset_mask),
             "mask comes from this scheme's subset list"
         );
-        let idx = subset_tables(self.groups.trailing_zeros()).index_of[mask as usize] as usize;
+        let tables = subset_tables(self.groups.trailing_zeros());
+        let masks = &self.group_masks[tables.index_of[code.subset_mask as usize] as usize];
         let mut out = *line;
-        for (g, &inv) in inversions.iter().enumerate() {
-            if inv {
-                out = out ^ self.group_masks[idx][g];
+        for (w, &word) in code.inversions.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                out = out ^ masks[w * 64 + bits.trailing_zeros() as usize];
+                bits &= bits - 1;
             }
         }
         out
     }
 
-    /// Computes the inversion bit per group so every stuck cell matches the
-    /// data; `None` if two faults in one group disagree.
-    fn inversions_for(&self, mask: u16, data: &Line512, faults: &FaultMap) -> Option<Vec<bool>> {
-        // pcm-audit: allow(hotpath-alloc) — the inversion vector is the stored per-line code word, not scratch; it escapes into SaferCode
-        let mut inversions = vec![false; self.groups as usize];
-        // Dense "group already constrained" bitmap over at most 256 groups.
-        let mut fixed = [0u64; 4];
-        for f in faults.iter() {
-            let g = extract_group(f.pos, mask);
-            let needed = data.bit(f.pos as usize) != f.value;
-            if fixed[g / 64] >> (g % 64) & 1 == 1 && inversions[g] != needed {
-                return None;
-            }
-            inversions[g] = needed;
-            fixed[g / 64] |= 1 << (g % 64);
-        }
-        Some(inversions)
-    }
-
+    /// The first subset whose shared groups hold only faults that agree on
+    /// their inversion for this data.
     fn find_agreeing_partition(&self, data: &Line512, faults: &FaultMap) -> Option<u16> {
-        self.subsets
-            .iter()
-            .copied()
-            .find(|&mask| self.inversions_for(mask, data, faults).is_some())
+        let disagree = faults.apply(*data) ^ *data;
+        let agree = faults.positions() & !disagree;
+        self.subsets.iter().copied().find(|&mask| {
+            let (a, d) = (groups(&agree, mask), groups(&disagree, mask));
+            (0..4).all(|w| a[w] & d[w] == 0)
+        })
     }
+}
+
+/// The groups of the partition `mask` that hold a cell of `cells`.
+fn groups(cells: &Line512, mask: u16) -> [u64; 4] {
+    let mut set = [0u64; 4];
+    for pos in cells.iter_ones() {
+        let g = extract_group(pos as u16, mask);
+        set[g / 64] |= 1 << (g % 64);
+    }
+    set
 }
 
 impl HardErrorScheme for Safer {
@@ -321,10 +319,8 @@ impl HardErrorScheme for Safer {
 
     fn metadata_bits(&self) -> u32 {
         // Group inversion bits + partition selector (log2 C(9,k) rounded up).
-        let k = self.groups.trailing_zeros();
         let choices = self.subsets.len() as u32;
         let selector = 32 - (choices - 1).leading_zeros();
-        let _ = k;
         self.groups + selector
     }
 

@@ -92,7 +92,8 @@ pub trait HardErrorScheme: Send + Sync {
     /// The default lists the positions and calls `can_store`, so a
     /// wrapper that has only `can_store` sees every probe. A scheme whose
     /// answer needs less than the list overrides it: ECP only counts the
-    /// faults and SECDED checks at most one per 64-bit word.
+    /// faults, SECDED checks at most one per 64-bit word, and Aegis scans
+    /// the mask itself.
     fn can_store_mask(&self, window_faults: &Line512) -> bool {
         let mut buf = [0u16; DATA_BITS];
         self.can_store(window_faults.ones_into(&mut buf))

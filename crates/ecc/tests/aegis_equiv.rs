@@ -7,9 +7,14 @@
 //! with every earlier fault's and return the first `k` without a match.
 //! The two must agree on the exact partition, not merely on feasibility:
 //! `write` stores the id, so it shows up in stored bits and wear.
+//!
+//! `Aegis::write` reads its partition off the fault mask and ORs the
+//! chosen groups of the disagreeing faults into one inversion word; the
+//! reference here lists the faults, falls back to the first partition
+//! whose shared groups agree, and sets one bit per disagreeing fault.
 
 use pcm_ecc::aegis::AegisCode;
-use pcm_ecc::{Aegis, HardErrorScheme};
+use pcm_ecc::{Aegis, EccError, HardErrorScheme};
 use pcm_util::fault::{FaultMap, StuckAt};
 use pcm_util::{seeded_rng, Line512, DATA_BITS};
 use proptest::prelude::*;
@@ -48,6 +53,62 @@ fn ref_find_partition(t: u32, u: u32, fault_positions: &[u16]) -> Option<u32> {
         return Some(k);
     }
     None
+}
+
+/// The partition `write` must pick: the first that separates the faults,
+/// else the first whose faults sharing a group all need the same
+/// inversion for `data`.
+fn ref_write_partition(t: u32, u: u32, faults: &FaultMap, data: &Line512) -> Option<u32> {
+    let positions: Vec<u16> = faults.iter().map(|f| f.pos).collect();
+    ref_find_partition(t, u, &positions).or_else(|| {
+        (0..=t).find(|&k| {
+            let mut needed = vec![None; u as usize];
+            faults.iter().all(|f| {
+                let want = data.bit(f.pos as usize) != f.value;
+                let slot = &mut needed[ref_group(t, u, f.pos, k) as usize];
+                *slot.get_or_insert(want) == want
+            })
+        })
+    })
+}
+
+/// The reference inversion set: bit `g` is set exactly when a fault in
+/// group `g` of partition `k` disagrees with `data`.
+fn ref_inversions(t: u32, u: u32, faults: &FaultMap, data: &Line512, k: u32) -> u32 {
+    faults
+        .iter()
+        .filter(|f| data.bit(f.pos as usize) != f.value)
+        .fold(0, |acc, f| acc | 1 << ref_group(t, u, f.pos, k))
+}
+
+/// Writes `data` over `faults` and checks the result against the
+/// reference: the same partition (or the same refusal), the reference
+/// inversion word with no bit at or above `u`, stuck cells at their stuck
+/// values, and `read` returning the data. Returns whether it stored.
+fn check_write(aegis: &Aegis, (t, u): (u32, u32), faults: &FaultMap, data: &Line512) -> bool {
+    let expected = ref_write_partition(t, u, faults, data);
+    match aegis.write(data, faults) {
+        Ok((stored, code)) => {
+            assert_eq!(Some(code.partition), expected, "{t}x{u}");
+            let inversions = ref_inversions(t, u, faults, data, code.partition);
+            assert_eq!(code.inversions, inversions, "{t}x{u} k {}", code.partition);
+            assert_eq!(code.inversions >> u, 0, "{t}x{u}: bit past group {}", u - 1);
+            assert_eq!(faults.apply(stored), stored, "{t}x{u}: stuck cells");
+            assert_eq!(aegis.read(&stored, &code), *data, "{t}x{u}");
+            true
+        }
+        Err(err) => {
+            assert_eq!(expected, None, "{t}x{u}");
+            assert_eq!(
+                err,
+                EccError::TooManyFaults {
+                    scheme: aegis.name(),
+                    faults: faults.count()
+                }
+            );
+            false
+        }
+    }
 }
 
 /// Distinct fault positions, biased toward clustered (hard-to-separate)
@@ -93,6 +154,24 @@ proptest! {
         let (t, u) = grid;
         let aegis = Aegis::new(t, u);
         prop_assert_eq!(aegis.find_partition(&positions), ref_find_partition(t, u, &positions));
+    }
+
+    /// `write` picks the reference's partition and inversion word for
+    /// random data over random stuck values.
+    #[test]
+    fn write_matches_reference_encode(
+        grid in arb_grid(),
+        positions in arb_positions(),
+        values in any::<u64>(),
+        words in prop::array::uniform8(any::<u64>()),
+    ) {
+        let aegis = Aegis::new(grid.0, grid.1);
+        let faults: FaultMap = positions
+            .iter()
+            .enumerate()
+            .map(|(i, &pos)| StuckAt { pos, value: values >> (i % 64) & 1 == 1 })
+            .collect();
+        check_write(&aegis, grid, &faults, &Line512::from_words(words));
     }
 
     /// `can_store` is exactly partition feasibility.
@@ -166,11 +245,9 @@ fn group_masks_tile_the_line_by_grid_definition() {
             let mut covered = Line512::zero();
             let mut cells = 0;
             for g in 0..u {
-                let mut inversions = vec![false; u as usize];
-                inversions[g as usize] = true;
                 let code = AegisCode {
                     partition: k,
-                    inversions,
+                    inversions: 1 << g,
                 };
                 let mask = aegis.read(&Line512::zero(), &code);
                 for pos in mask.iter_ones() {
@@ -227,5 +304,62 @@ fn round_trip_beyond_guarantee_on_separable_sets() {
             checked += 1;
         }
         assert_eq!(checked, 8, "too few separable {n}-fault sets");
+    }
+}
+
+/// The data-dependent fallback. Forty faults outnumber every grid's `u`
+/// groups, so no partition separates them; their stuck values are set so
+/// that the faults sharing a group of one partition `k*` all need the same
+/// inversion. `write` then stores with the first agreeing partition (at
+/// most `k*`) and round-trips. Flipping one stuck value in a shared group
+/// of `k*` makes the faults disagree there, and once no partition agrees,
+/// `write` refuses with `TooManyFaults`.
+#[test]
+fn agreement_fallback_stores_with_first_agreeing_partition() {
+    let mut rng = seeded_rng(47);
+    let mut all: Vec<u16> = (0..DATA_BITS as u16).collect();
+    for (t, u) in GRIDS {
+        let aegis = Aegis::new(t, u);
+        let mut refused = 0;
+        for trial in 0..64 {
+            all.shuffle(&mut rng);
+            let positions = &all[..40];
+            assert_eq!(aegis.find_partition(positions), None, "{t}x{u}");
+            let data = Line512::random(&mut rng);
+            let target = trial % (t + 1);
+            let flip: u32 = rng.random();
+            let value =
+                |pos: u16| data.bit(pos as usize) ^ (flip >> ref_group(t, u, pos, target) & 1 == 1);
+            let mut faults: FaultMap = positions
+                .iter()
+                .map(|&pos| StuckAt {
+                    pos,
+                    value: value(pos),
+                })
+                .collect();
+            let picked = ref_write_partition(t, u, &faults, &data);
+            assert!(picked.is_some_and(|k| k <= target), "{t}x{u} k* {target}");
+            assert!(check_write(&aegis, (t, u), &faults, &data));
+
+            // The first fault whose group under k* holds another fault.
+            let shared = positions
+                .iter()
+                .copied()
+                .find(|&p| {
+                    positions.iter().any(|&q| {
+                        q != p && ref_group(t, u, q, target) == ref_group(t, u, p, target)
+                    })
+                })
+                .expect("40 faults share a group");
+            faults.insert(StuckAt {
+                pos: shared,
+                value: !value(shared),
+            });
+            refused += usize::from(!check_write(&aegis, (t, u), &faults, &data));
+        }
+        assert!(
+            refused >= 48,
+            "{t}x{u}: only {refused}/64 disagreeing sets refused"
+        );
     }
 }

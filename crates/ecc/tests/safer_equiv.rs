@@ -5,9 +5,12 @@
 //! `C(9, k)` index-bit subsets in ascending mask order and return the
 //! first one that places every fault in its own group (software-PEXT
 //! group extraction, dense seen-group bitmap). The two must agree on the
-//! exact chosen mask, not merely on feasibility.
+//! exact chosen mask, not merely on feasibility. `Safer::write` is checked
+//! the same way against a per-fault reference encode.
 
-use pcm_ecc::{HardErrorScheme, Safer};
+use pcm_ecc::{EccError, HardErrorScheme, Safer};
+use pcm_util::fault::{FaultMap, StuckAt};
+use pcm_util::Line512;
 use proptest::prelude::*;
 
 const INDEX_BITS: u32 = 9;
@@ -51,6 +54,35 @@ fn ref_find_partition(groups: u32, fault_positions: &[u16]) -> Option<u16> {
     None
 }
 
+/// The subset `write` must pick and its inversion set: the first subset
+/// that separates the faults, else the first whose faults sharing a group
+/// all need the same inversion for `data`; bit `g` of the set is on
+/// exactly when a fault in group `g` disagrees with `data`.
+fn ref_write(groups: u32, faults: &FaultMap, data: &Line512) -> Option<(u16, [u64; 4])> {
+    let positions: Vec<u16> = faults.iter().map(|f| f.pos).collect();
+    let inversions = |mask: u16| {
+        let mut needed = vec![None; groups as usize];
+        let mut set = [0u64; 4];
+        for f in faults.iter() {
+            let (g, want) = (
+                extract_group(f.pos, mask),
+                data.bit(f.pos as usize) != f.value,
+            );
+            if *needed[g].get_or_insert(want) != want {
+                return None;
+            }
+            set[g / 64] |= u64::from(want) << (g % 64);
+        }
+        Some(set)
+    };
+    let mask = ref_find_partition(groups, &positions).or_else(|| {
+        (0u16..1 << INDEX_BITS)
+            .filter(|m| m.count_ones() == groups.trailing_zeros())
+            .find(|&m| inversions(m).is_some())
+    })?;
+    Some((mask, inversions(mask).expect("the chosen subset agrees")))
+}
+
 /// Distinct fault positions, biased toward clustered (hard-to-separate)
 /// layouts as well as uniform spreads.
 fn arb_positions() -> impl Strategy<Value = Vec<u16>> {
@@ -90,6 +122,39 @@ proptest! {
             safer.find_partition(&positions),
             ref_find_partition(groups, &positions)
         );
+    }
+
+    /// `write` stores with the reference's subset and inversion set, or
+    /// refuses exactly when the reference finds no subset, and `read`
+    /// returns the data. Group counts below the fault count reach the
+    /// data-dependent agreement fallback.
+    #[test]
+    fn write_matches_reference_encode(
+        groups in prop::sample::select(vec![2u32, 4, 8, 32, 256]),
+        positions in arb_positions(),
+        values in any::<u64>(),
+        words in prop::array::uniform8(any::<u64>()),
+    ) {
+        let safer = Safer::new(groups);
+        let data = Line512::from_words(words);
+        let faults: FaultMap = positions
+            .iter()
+            .enumerate()
+            .map(|(i, &pos)| StuckAt { pos, value: values >> (i % 64) & 1 == 1 })
+            .collect();
+        match (safer.write(&data, &faults), ref_write(groups, &faults, &data)) {
+            (Ok((stored, code)), Some((mask, inversions))) => {
+                prop_assert_eq!(code.subset_mask, mask);
+                prop_assert_eq!(code.inversions, inversions);
+                prop_assert_eq!(faults.apply(stored), stored);
+                prop_assert_eq!(safer.read(&stored, &code), data);
+            }
+            (Err(err), None) => prop_assert_eq!(
+                err,
+                EccError::TooManyFaults { scheme: safer.name(), faults: faults.count() }
+            ),
+            (got, want) => prop_assert!(false, "write {:?}, reference {:?}", got.map(|(_, c)| c), want),
+        }
     }
 
     /// `can_store` is exactly partition feasibility.

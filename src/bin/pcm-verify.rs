@@ -5,14 +5,16 @@
 //! combination, and Comp+WF/ECP-6 on a 4-byte window grid, at two
 //! endurance settings, plus a whole-memory churn pass
 //! per registered inter-line wear scheme (see DESIGN.md "Verification"),
-//! printing one block per combination and exiting non-zero on any
-//! mismatch — the `verify` stage of `scripts_run_all.sh`.
+//! printing one block per combination — the `verify` stage of
+//! `scripts_run_all.sh`. Exit status: 0 when every check passes, 1 on any
+//! mismatch, 2 on usage or I/O errors, a closed stdout included.
 //!
 //! ```text
 //! pcm-verify [--seed N] [--churn-only] [--quiet]
 //! ```
 
 use collab_pcm::core::verify::{run_all, VerifyConfig};
+use std::io::{self, Write};
 use std::process::exit;
 
 fn main() {
@@ -32,7 +34,7 @@ fn main() {
             "--churn-only" => cfg.churn_only = true,
             "--quiet" => quiet = true,
             "--help" | "-h" => {
-                println!("usage: pcm-verify [--seed N] [--churn-only] [--quiet]");
+                emit(|out| writeln!(out, "usage: pcm-verify [--seed N] [--churn-only] [--quiet]"));
                 return;
             }
             other => die(&format!("unknown option '{other}'")),
@@ -43,49 +45,62 @@ fn main() {
     // pcm-audit: allow(wallclock) — progress reporting only, never a Report
     let start = std::time::Instant::now();
     let report = run_all(&cfg);
-    for entry in &report.entries {
-        let verdict = if entry.passed() { "ok" } else { "FAIL" };
-        match &entry.churn {
-            Ok(s) => {
-                if !quiet {
-                    println!(
-                        "{:8} / {:11} / {:9} / step {} churn: {} writes, {} slides, {} deaths, {} revived [{verdict}]",
-                        entry.kind.to_string(),
-                        entry.ecc.to_string(),
-                        entry.wear.to_string(),
-                        entry.window_step,
-                        s.writes_checked,
-                        s.slides,
-                        s.deaths,
-                        s.resurrections,
-                    );
+    let failures = report.failures().len();
+    emit(|out| {
+        for entry in &report.entries {
+            let verdict = if entry.passed() { "ok" } else { "FAIL" };
+            match &entry.churn {
+                Ok(s) => {
+                    if !quiet {
+                        writeln!(
+                            out,
+                            "{:8} / {:11} / {:9} / step {} churn: {} writes, {} slides, {} deaths, {} revived [{verdict}]",
+                            entry.kind.to_string(),
+                            entry.ecc.to_string(),
+                            entry.wear.to_string(),
+                            entry.window_step,
+                            s.writes_checked,
+                            s.slides,
+                            s.deaths,
+                            s.resurrections,
+                        )?;
+                    }
+                }
+                Err(e) => writeln!(
+                    out,
+                    "{:8} / {:11} / {:9} / step {} churn FAIL: {e}",
+                    entry.kind.to_string(),
+                    entry.ecc.to_string(),
+                    entry.wear.to_string(),
+                    entry.window_step
+                )?,
+            }
+            for o in &entry.oracles {
+                if !quiet || !o.passed() {
+                    writeln!(out, "{}", o.describe())?;
                 }
             }
-            Err(e) => println!(
-                "{:8} / {:11} / {:9} / step {} churn FAIL: {e}",
-                entry.kind.to_string(),
-                entry.ecc.to_string(),
-                entry.wear.to_string(),
-                entry.window_step
-            ),
         }
-        for o in &entry.oracles {
-            if !quiet || !o.passed() {
-                println!("{}", o.describe());
-            }
-        }
-    }
-    let failures = report.failures();
-    println!(
-        "verify: {} combinations, {} failures, {:.1}s (seed {})",
-        report.entries.len(),
-        failures.len(),
-        start.elapsed().as_secs_f64(),
-        cfg.seed
-    );
-    if !failures.is_empty() {
+        writeln!(
+            out,
+            "verify: {} combinations, {failures} failures, {:.1}s (seed {})",
+            report.entries.len(),
+            start.elapsed().as_secs_f64(),
+            cfg.seed
+        )
+    });
+    if failures > 0 {
         exit(1);
     }
+}
+
+/// Runs `write` against stdout; a failed write (a closed pipe, a full
+/// disk) exits 2 like any other I/O error instead of panicking.
+fn emit(write: impl FnOnce(&mut io::StdoutLock<'static>) -> io::Result<()>) {
+    let mut out = io::stdout().lock();
+    write(&mut out)
+        .and_then(|()| out.flush())
+        .unwrap_or_else(|e| die(&format!("cannot write to stdout: {e}")));
 }
 
 fn die(msg: &str) -> ! {
