@@ -9,8 +9,9 @@
 //! 2. `Line512` kernels — XOR/popcount, differential-write and
 //!    Flip-N-Write encoding,
 //! 3. `simulate_line` throughput (simulated demand writes/sec) per
-//!    `SystemKind` × `EccChoice`, plus one campaign pool job — a full
-//!    64-seed `simulate_line_batch` call (`campaign/batch`),
+//!    `SystemKind` × `EccChoice`, plus a 64-seed `simulate_line_batch`
+//!    call, lines one after another through one scratch
+//!    (`campaign/batch`),
 //! 4. `pcm_util::Pool` scheduling (threads ∈ {1, 2, 4, 8}, balanced vs.
 //!    skewed job cost),
 //! 5. the serve engine's per-bank write path — a scripted traffic replay
@@ -454,9 +455,9 @@ pub fn run(opts: &HotpathOptions) -> HotpathReport {
         ));
     }
 
-    // --- 3b. campaign pool job: one batch through simulate_line_batch -
-    // The unit the campaign runner hands each worker: a chunk of seeds
-    // simulated one after another through one shared scratch. Smoke keeps
+    // --- 3b. one batch through simulate_line_batch --------------------
+    // A chunk of seeds simulated one after another through one shared
+    // scratch, as a campaign worker runs the lines it claims. Smoke keeps
     // the batch partial (16 seeds); the full run measures a complete
     // 64-seed batch. The checksum folds every record in seed order, so it
     // pins the batch's outputs across commits.

@@ -24,7 +24,7 @@ use serde::{Deserialize, Serialize};
 pub(crate) const BDI_DECOMPRESSION_CYCLES: u64 = 1;
 
 /// Largest possible BDI payload (the B8D4 encoding, paper Table I).
-pub const BDI_MAX_BYTES: usize = 40;
+const BDI_MAX_BYTES: usize = 40;
 
 /// The eight BDI encodings, ordered by compressed size.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -157,15 +157,6 @@ impl std::fmt::Display for DecodeBdiError {
 
 impl std::error::Error for DecodeBdiError {}
 
-/// Reads the `k`-byte little-endian element at index `i`.
-fn element(bytes: &[u8; DATA_BYTES], k: usize, i: usize) -> u64 {
-    let mut v = 0u64;
-    for b in 0..k {
-        v |= (bytes[i * k + b] as u64) << (8 * b);
-    }
-    v
-}
-
 /// Sign-extends the low `bits` bits of `v`.
 fn sign_extend(v: u64, bits: usize) -> i64 {
     debug_assert!(bits <= 64);
@@ -173,34 +164,115 @@ fn sign_extend(v: u64, bits: usize) -> i64 {
     ((v << shift) as i64) >> shift
 }
 
-/// Attempts to compress with a specific base-delta geometry, emitting the
-/// payload into `out` as it validates so a failing element aborts without
-/// having buffered the deltas separately. Returns the payload length.
-fn try_base_delta_into(
-    bytes: &[u8; DATA_BYTES],
-    k: usize,
-    d: usize,
-    out: &mut [u8],
-) -> Option<usize> {
-    let n = DATA_BYTES / k;
-    let base = element(bytes, k, 0);
-    let dbits = d * 8;
-    let lo = -(1i64 << (dbits - 1));
-    let hi = (1i64 << (dbits - 1)) - 1;
-    out[..k].copy_from_slice(&base.to_le_bytes()[..k]);
-    let mut len = k;
-    for i in 0..n {
-        let e = element(bytes, k, i);
-        // Wrapping difference within the k-byte element width.
-        let raw = e.wrapping_sub(base);
-        let delta = sign_extend(raw, k * 8);
-        if delta < lo || delta > hi {
-            return None;
+/// The bits the deltas need at 8-byte elements: the OR, over every word,
+/// of its wrapping delta from word 0 folded onto its magnitude bits
+/// (`d ^ (d >> 63)`, so -128 and 127 both fold to 0x7F). Deltas of `d`
+/// bytes fit iff no bit at or above `8d - 1` is set. The pass stops once
+/// the OR rules out the widest deltas (4 bytes), since every encoding at
+/// this width is then out.
+fn span8(words: &[u64; 8]) -> u64 {
+    let mut acc = 0;
+    for &w in words {
+        let d = w.wrapping_sub(words[0]) as i64;
+        acc |= (d ^ (d >> 63)) as u64;
+        if acc >> 31 != 0 {
+            break;
         }
-        out[len..len + d].copy_from_slice(&(delta as u64).to_le_bytes()[..d]);
-        len += d;
     }
-    Some(len)
+    acc
+}
+
+/// [`span8`] at 4-byte elements: each word holds two, low half first, a
+/// delta wraps and sign-extends at 32 bits, and the widest deltas are 2
+/// bytes.
+fn span4(words: &[u64; 8]) -> u64 {
+    let base = words[0] as u32;
+    let mut acc = 0u32;
+    for &w in words {
+        for shift in [0, 32] {
+            let d = ((w >> shift) as u32).wrapping_sub(base) as i32;
+            acc |= (d ^ (d >> 31)) as u32;
+        }
+        if acc >> 15 != 0 {
+            break;
+        }
+    }
+    u64::from(acc)
+}
+
+/// [`span8`] at 2-byte elements: four per word, wrapping at 16 bits, with
+/// 1-byte deltas only.
+fn span2(words: &[u64; 8]) -> u64 {
+    let base = words[0] as u16;
+    let mut acc = 0u16;
+    for &w in words {
+        for shift in [0, 16, 32, 48] {
+            let d = ((w >> shift) as u16).wrapping_sub(base) as i16;
+            acc |= (d ^ (d >> 15)) as u16;
+        }
+        if acc >> 7 != 0 {
+            break;
+        }
+    }
+    u64::from(acc)
+}
+
+/// The smallest BDI encoding that holds `words`, decided from the words
+/// alone: one delta pass per element width, then the first geometry in
+/// [`ALL_ENCODINGS`] order whose deltas fit.
+#[inline]
+pub(crate) fn encoding_of(words: &[u64; 8]) -> Option<BdiEncoding> {
+    if words.iter().all(|&w| w == words[0]) {
+        return Some(if words[0] == 0 {
+            BdiEncoding::Zeros
+        } else {
+            BdiEncoding::Rep8
+        });
+    }
+    // Each width's pass runs the first time an encoding asks for it.
+    let mut spans = [None; 3];
+    ALL_ENCODINGS.into_iter().find(|enc| {
+        enc.geometry().is_some_and(|(k, d)| {
+            let span = *spans[(8 / k).ilog2() as usize].get_or_insert_with(|| match k {
+                8 => span8(words),
+                4 => span4(words),
+                _ => span2(words),
+            });
+            span >> (8 * d - 1) == 0
+        })
+    })
+}
+
+/// Writes the low `n` bytes of `v` little-endian at `out[at..]`, for `n`
+/// of 1, 2, 4 or 8 (fixed-size stores, not a byte loop).
+fn put(out: &mut [u8], at: usize, v: u64, n: usize) {
+    match n {
+        1 => out[at] = v as u8,
+        2 => out[at..at + 2].copy_from_slice(&(v as u16).to_le_bytes()),
+        4 => out[at..at + 4].copy_from_slice(&(v as u32).to_le_bytes()),
+        _ => out[at..at + 8].copy_from_slice(&v.to_le_bytes()),
+    }
+}
+
+/// Writes the payload of `enc` (which must hold `words`; see
+/// [`encoding_of`]) into `out` and returns its length: the base element,
+/// then each element's delta from it, `d` bytes little-endian apiece.
+#[inline]
+pub(crate) fn emit(words: &[u64; 8], enc: BdiEncoding, out: &mut [u8]) -> usize {
+    let Some((k, d)) = enc.geometry() else {
+        // Zeros stores one zero byte, Rep8 the repeated word.
+        let len = enc.compressed_size();
+        put(out, 0, words[0], len);
+        return len;
+    };
+    let per_word = 8 / k;
+    let element = |i: usize| words[i / per_word] >> (8 * k * (i % per_word));
+    let base = element(0);
+    put(out, 0, base, k);
+    for i in 0..DATA_BYTES / k {
+        put(out, k + i * d, element(i).wrapping_sub(base), d);
+    }
+    k + DATA_BYTES / k * d
 }
 
 /// Compresses a line with the smallest applicable BDI encoding into a
@@ -221,42 +293,14 @@ fn try_base_delta_into(
 /// assert_eq!(c.size(), 1);
 /// ```
 pub fn compress(line: &Line512) -> Option<BdiCompressed> {
+    let words = line.words();
+    let encoding = encoding_of(&words)?;
     let mut buf = [0u8; BDI_MAX_BYTES];
-    let (encoding, len) = compress_into(line, &mut buf)?;
+    let len = emit(&words, encoding, &mut buf);
     Some(BdiCompressed {
         encoding,
         data: buf[..len].to_vec(),
     })
-}
-
-/// Allocation-free [`compress`]: writes the payload into `out` (which must
-/// hold at least [`BDI_MAX_BYTES`]) and returns the encoding plus payload
-/// length. This is the hot-path entry point — `compress` delegates here, so
-/// the two can never disagree.
-pub(crate) fn compress_into(line: &Line512, out: &mut [u8]) -> Option<(BdiEncoding, usize)> {
-    assert!(out.len() >= BDI_MAX_BYTES, "output buffer too small");
-    let bytes = line.to_bytes();
-
-    if line.is_zero() {
-        out[0] = 0;
-        return Some((BdiEncoding::Zeros, 1));
-    }
-
-    let words = line.words();
-    if words.iter().all(|&w| w == words[0]) {
-        out[..8].copy_from_slice(&words[0].to_le_bytes());
-        return Some((BdiEncoding::Rep8, 8));
-    }
-
-    for enc in ALL_ENCODINGS {
-        if let Some((k, d)) = enc.geometry() {
-            if let Some(len) = try_base_delta_into(&bytes, k, d, out) {
-                debug_assert_eq!(len, enc.compressed_size());
-                return Some((enc, len));
-            }
-        }
-    }
-    None
 }
 
 /// Decompresses a BDI payload back into the original line.

@@ -178,32 +178,24 @@ pub fn compress_best(line: &Line512) -> CompressedWrite {
 /// and returns the method plus payload length (64 for uncompressed). This
 /// is the hot-path entry point — `compress_best` delegates here, so the two
 /// can never disagree on method, size, or bytes.
+///
+/// Both codecs size the line from its eight words before anything is
+/// written, and only the winner's payload is emitted.
 // pcm-audit: root(hotpath-alloc) — allocation-free compression entry point; the docstring promises it
 pub fn compress_best_into(line: &Line512, out: &mut [u8; DATA_BYTES]) -> (Method, usize) {
-    // BDI first: its cascade tries encodings smallest-first and each
-    // geometry aborts on the first out-of-range delta, so a miss is cheap.
-    // Its payload (≤ 40 bytes) lands directly in `out`.
-    let bdi_out = bdi::compress_into(line, out);
-    let bdi_size = bdi_out.map(|(_, len)| len).unwrap_or(usize::MAX);
-
+    let words = line.words();
+    let bdi = bdi::encoding_of(&words);
     // FPC wins only when strictly smaller than both the BDI result and the
-    // raw line (ties prefer BDI's 1-cycle decompression), so cap its
-    // emission at one byte below that bound — anything larger would lose
-    // anyway, and the encoder stops as soon as it crosses the cap.
-    let budget_bytes = bdi_size.min(DATA_BYTES) - 1;
-    let mut fpc_buf = [0u8; fpc::FPC_MAX_BYTES];
-    let fpc_bits = if budget_bytes < 2 {
-        None // FPC's smallest possible output (an all-zero line) is 2 bytes.
-    } else {
-        fpc::compress_bounded_into(line, budget_bytes * 8, &mut fpc_buf)
-    };
-
-    if let Some(bits) = fpc_bits {
-        let len = bits.div_ceil(8);
-        out[..len].copy_from_slice(&fpc_buf[..len]);
-        (Method::Fpc, len)
-    } else if let Some((enc, len)) = bdi_out {
-        (Method::Bdi(enc), len)
+    // raw line; ties prefer BDI's 1-cycle decompression. It cannot beat
+    // Zeros or Rep8: a repeated nonzero 8-byte word costs it at least 13
+    // bits per 8 bytes (two 7-bit codes, or a zero-run code and one).
+    let beat = bdi.map_or(DATA_BYTES, |enc| enc.compressed_size());
+    if beat > BdiEncoding::Rep8.compressed_size()
+        && fpc::stream_bits(&words, (beat - 1) * 8).is_some()
+    {
+        (Method::Fpc, fpc::pack(&words, out))
+    } else if let Some(enc) = bdi {
+        (Method::Bdi(enc), bdi::emit(&words, enc, out))
     } else {
         out.copy_from_slice(&line.to_bytes());
         (Method::Uncompressed, DATA_BYTES)

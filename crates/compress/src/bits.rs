@@ -1,8 +1,9 @@
-//! Bit-granular writer/reader used by the FPC and FVC codecs.
+//! Bit-granular writer/reader: FVC writes and reads through them, FPC
+//! reads (its encoder packs through a 64-bit accumulator in the same
+//! LSB-first order).
 
 /// Appends values of arbitrary bit width (≤ 64) to a caller-provided byte
-/// buffer, LSB-first within each byte. No allocation: the FPC hot path
-/// reuses one stack buffer per write.
+/// buffer, LSB-first within each byte, without allocating.
 ///
 /// # Examples
 ///

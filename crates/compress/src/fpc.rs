@@ -18,7 +18,7 @@
 //! (16 × 35 bits = 70 bytes); the [best-of selector](crate::best) falls back
 //! to uncompressed storage in that case.
 
-use crate::bits::{BitReader, FixedBitWriter, OutOfBits};
+use crate::bits::{BitReader, OutOfBits};
 use pcm_util::Line512;
 use serde::{Deserialize, Serialize};
 
@@ -91,24 +91,128 @@ impl From<OutOfBits> for DecodeFpcError {
     }
 }
 
+/// The word is a sign-extended value of `bits` bits (prefixes 001–011).
+fn fits_signed(word: u32, bits: u32) -> bool {
+    word.wrapping_add(1 << (bits - 1)) >> bits == 0
+}
+
 /// Both halfwords are sign-extended bytes (prefix 101).
 fn is_two_sign_extended_bytes(word: u32) -> bool {
-    let lo = (word & 0xFFFF) as u16 as i16;
-    let hi = (word >> 16) as u16 as i16;
-    (-128..=127).contains(&lo) && (-128..=127).contains(&hi)
+    (word as u16).wrapping_add(0x80) < 0x100 && ((word >> 16) as u16).wrapping_add(0x80) < 0x100
 }
 
 /// The word is one byte repeated four times (prefix 110).
 fn is_repeated_byte(word: u32) -> bool {
-    let b = word & 0xFF;
-    word == b | (b << 8) | (b << 16) | (b << 24)
+    word == word.rotate_left(8)
 }
 
-fn fits_signed(v: u32, bits: u32) -> bool {
-    let x = v as i32;
-    let lo = -(1i64 << (bits - 1));
-    let hi = (1i64 << (bits - 1)) - 1;
-    (x as i64) >= lo && (x as i64) <= hi
+/// The sixteen 4-byte words of a line, the low half of each 8-byte word
+/// first.
+fn split(words: &[u64; 8]) -> [u32; WORDS] {
+    std::array::from_fn(|i| (words[i / 2] >> (32 * (i % 2))) as u32)
+}
+
+/// Bit `i` is set when word `i` is zero.
+fn zero_mask(words: &[u32; WORDS]) -> u32 {
+    (0..WORDS).fold(0, |m, i| m | u32::from(words[i] == 0) << i)
+}
+
+/// The code of a nonzero word and its length in bits: the first pattern in
+/// prefix order that holds the word. The prefix sits in the low three
+/// bits and the payload above it, which is the order an LSB-first stream
+/// sends them in.
+fn word_code(word: u32) -> (u64, u32) {
+    let w = u64::from(word);
+    if fits_signed(word, 4) {
+        (P_SIGN4 | (w & 0xF) << 3, 7)
+    } else if fits_signed(word, 8) {
+        (P_SIGN8 | (w & 0xFF) << 3, 11)
+    } else if fits_signed(word, 16) {
+        (P_SIGN16 | (w & 0xFFFF) << 3, 19)
+    } else if word & 0xFFFF == 0 {
+        (P_LOW_ZERO | (w >> 16) << 3, 19)
+    } else if is_two_sign_extended_bytes(word) {
+        (P_TWO_BYTES | (w & 0xFF) << 3 | (w >> 16 & 0xFF) << 11, 19)
+    } else if is_repeated_byte(word) {
+        (P_REP_BYTE | (w & 0xFF) << 3, 11)
+    } else {
+        (P_RAW | w << 3, 35)
+    }
+}
+
+/// The length of [`word_code`]'s code for a nonzero word. The checks run
+/// from the last pattern in prefix order to the first, each overriding
+/// the ones before it, so the sizing pass over all sixteen words compiles
+/// to selects instead of branches.
+fn code_len(word: u32) -> u32 {
+    let mut len = 35;
+    if is_repeated_byte(word) {
+        len = 11;
+    }
+    if fits_signed(word, 16) || word & 0xFFFF == 0 || is_two_sign_extended_bytes(word) {
+        len = 19;
+    }
+    if fits_signed(word, 8) {
+        len = 11;
+    }
+    if fits_signed(word, 4) {
+        len = 7;
+    }
+    len
+}
+
+/// The exact length in bits of a line's FPC stream, from its words alone,
+/// or `None` when it passes `max_bits`.
+///
+/// A zero word costs nothing on its own; each run of zero words costs one
+/// 6-bit code per eight words, and sixteen words hold at most one run
+/// longer than eight, found as nine zero words in a row. The sixteen code
+/// lengths are summed in one pass with no early exit, which compiles to
+/// vector code and beats stopping at the cap.
+pub(crate) fn stream_bits(words: &[u64; 8], max_bits: usize) -> Option<usize> {
+    let words = split(words);
+    let coded: u32 = words
+        .iter()
+        .map(|&w| if w == 0 { 0 } else { code_len(w) })
+        .sum();
+    let zeros = zero_mask(&words);
+    let runs = (zeros & !(zeros << 1)).count_ones();
+    let long = (1..=8).fold(zeros, |m, s| m & zeros >> s) != 0;
+    let bits = (coded + 6 * (runs + u32::from(long))) as usize;
+    (bits <= max_bits).then_some(bits)
+}
+
+/// Writes a line's FPC stream LSB-first into `out` through a 64-bit
+/// accumulator, zero-padding the last byte, and returns its length in
+/// bytes. `out` must hold [`stream_bits`] rounded up to whole bytes.
+pub(crate) fn pack(words: &[u64; 8], out: &mut [u8]) -> usize {
+    let words = split(words);
+    let zeros = zero_mask(&words);
+    let (mut acc, mut held, mut at) = (0u64, 0u32, 0usize);
+    let mut i = 0;
+    while i < WORDS {
+        let (code, len) = if words[i] == 0 {
+            let run = (zeros >> i).trailing_ones().min(8);
+            i += run as usize;
+            (P_ZERO_RUN | u64::from(run - 1) << 3, 6)
+        } else {
+            i += 1;
+            word_code(words[i - 1])
+        };
+        acc |= code << held;
+        held += len;
+        if held >= 64 {
+            out[at..at + 8].copy_from_slice(&acc.to_le_bytes());
+            at += 8;
+            held -= 64;
+            // The code's top `held` bits did not fit; when it fit exactly,
+            // the shift by its whole length leaves nothing.
+            acc = code >> (len - held);
+        }
+    }
+    let tail = held.div_ceil(8) as usize;
+    out[at..at + tail].copy_from_slice(&acc.to_le_bytes()[..tail]);
+    at + tail
 }
 
 /// Compresses a line with FPC. Always succeeds; the result may be larger
@@ -129,11 +233,10 @@ pub fn compress(line: &Line512) -> FpcCompressed {
     compress_bounded(line, usize::MAX).expect("unbounded compression always succeeds")
 }
 
-/// [`compress`], aborting as soon as the output exceeds `max_bits`.
+/// [`compress`], or `None` when the stream would exceed `max_bits`.
 ///
-/// The best-of selector uses this to cap FPC at one byte below the size it
-/// would have to beat: lines where FPC cannot win stop emitting after a few
-/// words instead of packing the full (up to 70-byte) stream.
+/// The stream is sized from the line's words before anything is packed,
+/// so a line over the cap packs nothing.
 ///
 /// # Examples
 ///
@@ -155,64 +258,15 @@ pub fn compress_bounded(line: &Line512, max_bits: usize) -> Option<FpcCompressed
 
 /// Allocation-free [`compress_bounded`]: packs the stream into `out` (which
 /// must hold at least [`FPC_MAX_BYTES`]) and returns the exact bit length;
-/// the payload occupies the first `bit_len.div_ceil(8)` bytes. This is the
-/// hot-path entry point — `compress_bounded` delegates here, so the two can
-/// never disagree.
+/// the payload occupies the first `bit_len.div_ceil(8)` bytes, and `out` is
+/// untouched when the stream passes `max_bits`. `compress_bounded`
+/// delegates here, so the two can never disagree.
 pub fn compress_bounded_into(line: &Line512, max_bits: usize, out: &mut [u8]) -> Option<usize> {
     assert!(out.len() >= FPC_MAX_BYTES, "output buffer too small");
-    let bytes = line.to_bytes();
-    let mut words = [0u32; WORDS];
-    for (w, c) in words.iter_mut().zip(bytes.chunks_exact(4)) {
-        *w = u32::from_le_bytes(c.try_into().expect("4 bytes"));
-    }
-
-    let mut w = FixedBitWriter::new(out);
-    let mut i = 0;
-    while i < WORDS {
-        if w.bit_len() > max_bits {
-            return None;
-        }
-        let word = words[i];
-        if word == 0 {
-            let mut run = 1;
-            while run < 8 && i + run < WORDS && words[i + run] == 0 {
-                run += 1;
-            }
-            w.put(P_ZERO_RUN, 3);
-            w.put((run - 1) as u64, 3);
-            i += run;
-            continue;
-        }
-        if fits_signed(word, 4) {
-            w.put(P_SIGN4, 3);
-            w.put((word & 0xF) as u64, 4);
-        } else if fits_signed(word, 8) {
-            w.put(P_SIGN8, 3);
-            w.put((word & 0xFF) as u64, 8);
-        } else if fits_signed(word, 16) {
-            w.put(P_SIGN16, 3);
-            w.put((word & 0xFFFF) as u64, 16);
-        } else if word & 0xFFFF == 0 {
-            w.put(P_LOW_ZERO, 3);
-            w.put((word >> 16) as u64, 16);
-        } else if is_two_sign_extended_bytes(word) {
-            w.put(P_TWO_BYTES, 3);
-            w.put((word & 0xFF) as u64, 8);
-            w.put(((word >> 16) & 0xFF) as u64, 8);
-        } else if is_repeated_byte(word) {
-            w.put(P_REP_BYTE, 3);
-            w.put((word & 0xFF) as u64, 8);
-        } else {
-            w.put(P_RAW, 3);
-            w.put(word as u64, 32);
-        }
-        i += 1;
-    }
-    let bit_len = w.bit_len();
-    if bit_len > max_bits {
-        return None;
-    }
-    Some(bit_len)
+    let words = line.words();
+    let bits = stream_bits(&words, max_bits)?;
+    pack(&words, out);
+    Some(bits)
 }
 
 /// Decompresses an FPC payload back into the original line.

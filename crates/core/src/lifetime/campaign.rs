@@ -1,7 +1,7 @@
 //! Whole-memory lifetime campaigns over many independent lines.
 
-use super::linesim::{simulate_line_batch, LineRecord, LineScratch, LineSimConfig};
-use pcm_util::{child_seed, Pool, BATCH_LANES};
+use super::linesim::{simulate_line_with, LineRecord, LineScratch, LineSimConfig};
+use pcm_util::{child_seed, Pool};
 use serde::{Deserialize, Serialize};
 
 /// Assumed per-core IPC for the Table IV months conversion (see
@@ -103,26 +103,22 @@ pub fn run_campaign(cfg: &CampaignConfig) -> LifetimeResult {
     run_campaign_on(&Pool::new(cfg.threads), cfg)
 }
 
-/// [`run_campaign`] on a caller-provided pool. Lines drain from the pool's
-/// shared queue in whole batches (work-stealing, not static striping), so
-/// an early-dying batch frees its worker for the stragglers; per-line
-/// seeds are `child_seed(cfg.seed, i)` regardless of how batches land on
-/// workers, making results scheduling-invariant.
+/// [`run_campaign`] on a caller-provided pool. Each line is one pool job,
+/// claimed from the pool's shared queue (work-stealing, not static
+/// striping), so no worker idles behind another's last long line; every
+/// worker reuses one [`LineScratch`] across the lines it claims. Per-line
+/// seeds are `child_seed(cfg.seed, i)` wherever a line runs, so results
+/// are scheduling-invariant.
 pub fn run_campaign_on(pool: &Pool, cfg: &CampaignConfig) -> LifetimeResult {
+    summarize(&line_records(pool, cfg), cfg.line.max_writes)
+}
+
+/// The campaign's line records, in seed order.
+fn line_records(pool: &Pool, cfg: &CampaignConfig) -> Vec<LineRecord> {
     assert!(cfg.lines > 0, "need at least one line");
-    // Campaigns consume whole [`pcm_util::BATCH_LANES`]-line batches: one
-    // contiguous chunk of the seed stream per pool job, records spliced
-    // back in seed order — byte-identical to the per-line path.
-    let batches = cfg.lines.div_ceil(BATCH_LANES);
-    let record_batches: Vec<Vec<LineRecord>> =
-        pool.map_indexed_with(batches, 1, LineScratch::new, |scratch, b| {
-            let lo = b * BATCH_LANES;
-            let hi = (lo + BATCH_LANES).min(cfg.lines);
-            let seeds: Vec<u64> = (lo..hi).map(|i| child_seed(cfg.seed, i as u64)).collect();
-            simulate_line_batch(&cfg.line, &seeds, scratch)
-        });
-    let records: Vec<LineRecord> = record_batches.into_iter().flatten().collect();
-    summarize(&records, cfg.line.max_writes)
+    pool.map_indexed_with(cfg.lines, 1, LineScratch::new, |scratch, i| {
+        simulate_line_with(&cfg.line, child_seed(cfg.seed, i as u64), scratch)
+    })
 }
 
 /// The 50%-simultaneously-dead sweep, shared by the point estimate and
@@ -320,6 +316,26 @@ mod tests {
         let a = quick_campaign(SystemKind::Comp, SpecApp::Milc, 8);
         let b = quick_campaign(SystemKind::Comp, SpecApp::Milc, 8);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn records_hold_exactly_what_their_lines_logged() {
+        // Every record copies its line's events out of the worker's
+        // scratch, so neither vector keeps the scratch's reservation.
+        let system = SystemConfig::new(SystemKind::CompWF).with_endurance_mean(800.0);
+        let mut line = LineSimConfig::new(system, SpecApp::Milc.profile());
+        line.sample_writes = 8;
+        let mut cfg = CampaignConfig::new(line, 99);
+        cfg.lines = 24;
+        let records = line_records(&Pool::new(2), &cfg);
+        assert!(
+            records.iter().any(|r| r.events.len() >= 2),
+            "no line died and revived, so the check is empty"
+        );
+        for r in &records {
+            assert_eq!(r.events.capacity(), r.events.len());
+            assert_eq!(r.death_fault_counts.capacity(), r.death_fault_counts.len());
+        }
     }
 
     #[test]

@@ -70,11 +70,17 @@ impl LineRecord {
 }
 
 /// Reusable per-worker scratch for [`simulate_line_with`]: the payload
-/// buffer pair is allocated once and shared across every line the worker
-/// simulates, so the per-write hot path never touches the heap.
+/// buffer pair and the event logs are allocated once and shared across
+/// every line the worker simulates, so the per-write hot path never
+/// touches the heap.
 #[derive(Debug, Default)]
 pub struct LineScratch {
     bufs: PayloadBufs,
+    /// The running line's [`LineRecord::events`]; its record gets a copy
+    /// of exactly the logged entries.
+    events: Vec<u64>,
+    /// The running line's [`LineRecord::death_fault_counts`], likewise.
+    death_fault_counts: Vec<u32>,
 }
 
 impl LineScratch {
@@ -131,16 +137,24 @@ pub fn simulate_line_with(cfg: &LineSimConfig, seed: u64, scratch: &mut LineScra
 
     // Death/revival events only happen at residency boundaries (a dead
     // line waits for the next relocation), so the horizon bounds how many
-    // can occur; one up-front reservation replaces regrowth in the loop.
+    // can occur; reserving that much in the worker's scratch replaces
+    // regrowth in the loop, and after the first line it allocates nothing.
     let max_events = if sys.kind.slides() {
         ((cfg.max_writes / RESIDENCY_WRITES).min(512) as usize + 1) * 2
     } else {
         1
     };
-    let mut events: Vec<u64> = Vec::with_capacity(max_events);
+    let LineScratch {
+        bufs,
+        events,
+        death_fault_counts,
+    } = scratch;
+    events.clear();
+    events.reserve(max_events);
+    death_fault_counts.clear();
+    death_fault_counts.reserve(max_events / 2 + 1);
     let mut first_death = None;
     let mut faults_at_death = None;
-    let mut death_fault_counts: Vec<u32> = Vec::with_capacity(max_events / 2 + 1);
     let mut flip_sum: u64 = 0;
     let mut sampled: u64 = 0;
 
@@ -168,15 +182,9 @@ pub fn simulate_line_with(cfg: &LineSimConfig, seed: u64, scratch: &mut LineScra
             meta = HostMeta::default();
             residency_left = RESIDENCY_WRITES;
             // Resurrection check against the incoming block.
-            if revivable(
-                &mut line,
-                sys,
-                &block.current(),
-                rotation,
-                &mut scratch.bufs,
-            ) {
+            if revivable(&mut line, sys, &block.current(), rotation, bufs) {
                 line.revive();
-                // pcm-audit: allow(hotpath-alloc) — stays within the with_capacity reservation made at entry
+                // pcm-audit: allow(hotpath-alloc) — stays within the reservation made at entry
                 events.push(writes);
             }
             continue;
@@ -207,7 +215,7 @@ pub fn simulate_line_with(cfg: &LineSimConfig, seed: u64, scratch: &mut LineScra
         for _ in 0..k {
             let data = block.next_data();
             done += 1;
-            match store(&mut line, sys, meta, &data, rotation, &mut scratch.bufs) {
+            match store(&mut line, sys, meta, &data, rotation, bufs) {
                 Ok(s) => {
                     flip_sum += s.report.flips as u64;
                     sampled += 1;
@@ -229,9 +237,9 @@ pub fn simulate_line_with(cfg: &LineSimConfig, seed: u64, scratch: &mut LineScra
                 first_death = Some(writes);
             }
             faults_at_death = Some(line.faults().count());
-            // pcm-audit: allow(hotpath-alloc) — stays within the with_capacity reservation made at entry
+            // pcm-audit: allow(hotpath-alloc) — stays within the reservation made at entry
             death_fault_counts.push(line.faults().count());
-            // pcm-audit: allow(hotpath-alloc) — stays within the with_capacity reservation made at entry
+            // pcm-audit: allow(hotpath-alloc) — stays within the reservation made at entry
             events.push(writes);
             continue;
         }
@@ -264,9 +272,9 @@ pub fn simulate_line_with(cfg: &LineSimConfig, seed: u64, scratch: &mut LineScra
 
     LineRecord {
         first_death,
-        events,
+        events: events.to_vec(),
         faults_at_death,
-        death_fault_counts,
+        death_fault_counts: death_fault_counts.to_vec(),
         final_faults: line.faults().count(),
         mean_flips_per_write: if sampled > 0 {
             flip_sum as f64 / sampled as f64
@@ -281,9 +289,8 @@ pub fn simulate_line_with(cfg: &LineSimConfig, seed: u64, scratch: &mut LineScra
 /// Simulates one batch of lines (at most [`pcm_util::BATCH_LANES`] seeds)
 /// through a shared scratch, returning records in seed order.
 ///
-/// This is the campaign's unit of work: lines are handed to pool workers
-/// one whole batch at a time, so every line of the batch reuses the
-/// worker's scratch. Record `i` is exactly
+/// Campaigns do not use it (each of their lines is its own pool job); it
+/// is the unit the benchmarks time. Record `i` is exactly
 /// `simulate_line_with(cfg, seeds[i], ..)`.
 ///
 /// # Panics

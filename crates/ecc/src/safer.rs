@@ -49,9 +49,10 @@ pub struct Safer {
     groups: u32,
     /// All `C(9, k)` index-bit subsets, as 9-bit masks.
     subsets: Vec<u16>,
-    /// Per subset, per group: the mask of line positions in that group
-    /// (precomputed so a write's inversion pass is a handful of XORs).
-    group_masks: Vec<Vec<Line512>>,
+    /// The mask of line positions in each group, `groups` entries per
+    /// subset in subset-list order (precomputed so a write's inversion
+    /// pass is a handful of XORs).
+    group_masks: Vec<Line512>,
 }
 
 /// The per-line SAFER state: the chosen index-bit subset and the per-group
@@ -135,18 +136,28 @@ impl Safer {
             groups.is_power_of_two() && (2..=256).contains(&groups),
             "SAFER group count must be a power of two in 2..=256, got {groups}"
         );
-        let k = groups.trailing_zeros();
-        let subsets = subsets_of_size(k);
-        let group_masks = subsets
-            .iter()
-            .map(|&mask| {
-                let mut per_group = vec![Line512::zero(); groups as usize];
-                for pos in 0..DATA_BITS {
-                    per_group[extract_group(pos as u16, mask)].set_bit(pos, true);
+        let subsets = subsets_of_size(groups.trailing_zeros());
+        // Plane `b` holds the positions whose index bit `b` is set. A
+        // subset's groups start as one all-ones mask, and each selected
+        // bit, lowest first, splits every group so far in two: off the
+        // plane stays group `g`, on it becomes `g` plus the bit's place in
+        // the group number (the order `extract_group` packs bits in).
+        let planes: [Line512; INDEX_BITS as usize] =
+            std::array::from_fn(|b| Line512::from_fn(|pos| pos >> b & 1 == 1));
+        let mut group_masks = vec![Line512::ones(); subsets.len() * groups as usize];
+        for (table, &mask) in group_masks.chunks_exact_mut(groups as usize).zip(&subsets) {
+            let mut split = 1;
+            for (b, plane) in planes.iter().enumerate() {
+                if mask >> b & 1 == 1 {
+                    for g in 0..split {
+                        let m = table[g];
+                        table[g] = m & !*plane;
+                        table[g + split] = m & *plane;
+                    }
+                    split *= 2;
                 }
-                per_group
-            })
-            .collect();
+            }
+        }
         Safer {
             groups,
             subsets,
@@ -269,7 +280,9 @@ impl Safer {
             "mask comes from this scheme's subset list"
         );
         let tables = subset_tables(self.groups.trailing_zeros());
-        let masks = &self.group_masks[tables.index_of[code.subset_mask as usize] as usize];
+        let groups = self.groups as usize;
+        let first = tables.index_of[code.subset_mask as usize] as usize * groups;
+        let masks = &self.group_masks[first..first + groups];
         let mut out = *line;
         for (w, &word) in code.inversions.iter().enumerate() {
             let mut bits = word;

@@ -6,8 +6,10 @@
 //! first one that places every fault in its own group (software-PEXT
 //! group extraction, dense seen-group bitmap). The two must agree on the
 //! exact chosen mask, not merely on feasibility. `Safer::write` is checked
-//! the same way against a per-fault reference encode.
+//! the same way against a per-fault reference encode, and the group masks
+//! `Safer::new` builds from index-bit planes against the per-bit grouping.
 
+use pcm_ecc::safer::SaferCode;
 use pcm_ecc::{EccError, HardErrorScheme, Safer};
 use pcm_util::fault::{FaultMap, StuckAt};
 use pcm_util::Line512;
@@ -180,4 +182,34 @@ fn guarantee_still_holds_after_acceleration() {
     assert!(safer.can_store(&[511, 510, 509, 508, 507, 506]));
     // Duplicate positions can never be separated.
     assert!(!safer.can_store(&[9, 9]));
+}
+
+/// Every group mask of every subset, for every group count: inverting only
+/// group `g` of an all-zero line yields exactly the positions whose
+/// selected index bits pack to `g`.
+#[test]
+fn group_masks_match_the_per_bit_definition() {
+    for k in 1..=8u32 {
+        let groups = 1usize << k;
+        let safer = Safer::new(groups as u32);
+        for mask in (0u16..1 << INDEX_BITS).filter(|m| m.count_ones() == k) {
+            let mut want = vec![Line512::zero(); groups];
+            for pos in 0..512 {
+                want[extract_group(pos as u16, mask)].set_bit(pos, true);
+            }
+            for (g, want) in want.iter().enumerate() {
+                let mut inversions = [0u64; 4];
+                inversions[g / 64] |= 1 << (g % 64);
+                let code = SaferCode {
+                    subset_mask: mask,
+                    inversions,
+                };
+                assert_eq!(
+                    safer.read(&Line512::zero(), &code),
+                    *want,
+                    "SAFER-{groups}, subset {mask:#011b}, group {g}"
+                );
+            }
+        }
+    }
 }

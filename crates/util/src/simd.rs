@@ -12,8 +12,9 @@
 
 use crate::DATA_BITS;
 
-/// Lines per campaign pool job: `run_campaign_on` hands each worker one
-/// contiguous chunk of this many seeds at a time.
+/// Most seeds one `simulate_line_batch` call takes. Campaigns do not batch
+/// (each line is its own pool job); the benchmarks time a batch of this
+/// many lines as one unit.
 pub const BATCH_LANES: usize = 64;
 
 /// u64 words per line.
