@@ -13,9 +13,9 @@
 //! (`--quick`, `--seed N`, `--apps a,b,c`).
 
 use pcm_bench::cli::{lookup_app, CliError, Options, USAGE};
-use pcm_bench::report::{diff_reports, merge_reports};
+use pcm_bench::report::diff_reports;
 use pcm_bench::{find, run_timed, Report, REGISTRY};
-use pcm_util::{child_seed, Pool};
+use pcm_util::Pool;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -25,10 +25,7 @@ fn usage() -> String {
          \n\
          commands:\n\
          \x20 list                         list every registered experiment\n\
-         \x20 run <name…> [--format F] [--seeds N] [--shard I/K] [--jobs N]\n\
-         \x20                              run experiments, print to stdout (F: text|json);\n\
-         \x20                              --seeds fans each one over N derived seeds on the job\n\
-         \x20                              pool and merges the reports into mean ± 95% CI rows\n\
+         \x20 run <name…> [--format F]     run experiments, print to stdout (F: text|json)\n\
          \x20 run-all [--jobs N] [--out-dir DIR]\n\
          \x20                              run the whole registry, write DIR/<name>.txt|.json\n\
          \x20 diff [--dir DIR] [name…]     re-run tracked reports, compare within tolerances\n\
@@ -127,65 +124,11 @@ fn cmd_list(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Parses a `--shard I/K` value (0-based shard `I` of `K`).
-fn parse_shard(value: &str) -> Result<(usize, usize), String> {
-    let (i, k) = value
-        .split_once('/')
-        .ok_or_else(|| format!("--shard needs the form I/K, got '{value}'"))?;
-    let i: usize = i
-        .parse()
-        .map_err(|_| format!("bad shard index in '{value}'"))?;
-    let k: usize = k
-        .parse()
-        .ok()
-        .filter(|&k| k >= 1)
-        .ok_or_else(|| format!("bad shard count in '{value}'"))?;
-    if i >= k {
-        return Err(format!("shard index {i} out of range for {k} shard(s)"));
-    }
-    Ok((i, k))
-}
-
 fn cmd_run(args: &[String]) -> Result<(), String> {
-    let (own, names, opts) = split_args(args, &["--format", "--seeds", "--shard", "--jobs"])?;
-    let mut format = "text".to_string();
-    let mut seeds: Option<usize> = None;
-    let mut shard = (0usize, 1usize);
-    let mut shard_given = false;
-    let mut jobs = 0usize; // 0: let the pool resolve available parallelism
-    for (flag, value) in own {
-        match flag.as_str() {
-            "--format" => format = value,
-            "--seeds" => {
-                seeds = Some(
-                    value
-                        .parse()
-                        .ok()
-                        .filter(|&n: &usize| n >= 1)
-                        .ok_or_else(|| {
-                            format!("--seeds needs a positive integer, got '{value}'")
-                        })?,
-                );
-            }
-            "--shard" => {
-                shard = parse_shard(&value)?;
-                shard_given = true;
-            }
-            "--jobs" => {
-                jobs = value
-                    .parse()
-                    .ok()
-                    .filter(|&n: &usize| n >= 1)
-                    .ok_or_else(|| format!("--jobs needs a positive integer, got '{value}'"))?;
-            }
-            _ => unreachable!(),
-        }
-    }
-    if !matches!(format.as_str(), "text" | "json") {
+    let (own, names, opts) = split_args(args, &["--format"])?;
+    let format = own.last().map_or("text", |(_, f)| f.as_str());
+    if !matches!(format, "text" | "json") {
         return Err(format!("unknown format '{format}' (text|json)"));
-    }
-    if shard_given && seeds.is_none() {
-        return Err("--shard only makes sense with --seeds".into());
     }
     if names.is_empty() {
         return Err(format!(
@@ -193,47 +136,12 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
             usage()
         ));
     }
-    let emit = |report: &Report| match format.as_str() {
-        "text" => print!("{}", report.to_text()),
-        "json" => print!("{}", report.to_json()),
-        _ => unreachable!(),
-    };
-    let experiments = resolve(&names)?;
-    let Some(seeds) = seeds else {
-        for exp in experiments {
-            emit(&run_timed(exp, &opts));
+    for exp in resolve(&names)? {
+        let report = run_timed(exp, &opts);
+        match format {
+            "text" => print!("{}", report.to_text()),
+            _ => print!("{}", report.to_json()),
         }
-        return Ok(());
-    };
-
-    // Multi-seed fan-out: seed stream `j` of the campaign is always
-    // `child_seed(opts.seed, j)`, and `--shard I/K` keeps streams with
-    // `j % K == I` — so the union of the K shards is exactly the unsharded
-    // seed list and every shard is reproducible in isolation.
-    let (shard_idx, shard_count) = shard;
-    let streams: Vec<usize> = (0..seeds)
-        .filter(|j| j % shard_count == shard_idx)
-        .collect();
-    if streams.is_empty() {
-        return Err(format!(
-            "shard {shard_idx}/{shard_count} is empty for --seeds {seeds}"
-        ));
-    }
-    let pool = Pool::new(jobs);
-    for exp in experiments {
-        let reports = pool.map_indexed(streams.len(), 1, |si| {
-            let run_opts = Options {
-                seed: child_seed(opts.seed, streams[si] as u64),
-                ..opts.clone()
-            };
-            run_timed(exp, &run_opts)
-        });
-        let mut merged = merge_reports(&reports)?;
-        merged.note(format!(
-            "seed streams {:?} of 0..{seeds} (shard {shard_idx}/{shard_count}) from base seed {}",
-            streams, opts.seed
-        ));
-        emit(&merged);
     }
     Ok(())
 }

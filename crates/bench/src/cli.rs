@@ -2,7 +2,7 @@
 
 use pcm_trace::{profile::ALL_APPS, SpecApp};
 
-/// Usage string shared by [`Options::from_args`] and `pcm-lab`.
+/// Usage string of the experiment options, printed by `pcm-lab`.
 pub const USAGE: &str = "[--quick] [--seed N] [--apps astar,milc,...]";
 
 /// Options accepted by every experiment.
@@ -36,16 +36,6 @@ pub enum CliError {
     Invalid(String),
 }
 
-impl CliError {
-    /// The process exit code the error conventionally maps to.
-    pub fn exit_code(&self) -> i32 {
-        match self {
-            CliError::Help => 0,
-            CliError::Invalid(_) => 2,
-        }
-    }
-}
-
 impl std::fmt::Display for CliError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -65,19 +55,7 @@ pub fn lookup_app(name: &str) -> Result<SpecApp, CliError> {
 }
 
 impl Options {
-    /// Parses `--quick`, `--seed N`, and `--apps a,b,c` from the process
-    /// arguments, printing usage and exiting on error or `--help`.
-    pub fn from_args() -> Self {
-        Self::parse(std::env::args().skip(1)).unwrap_or_else(|e| {
-            if let CliError::Invalid(msg) = &e {
-                eprintln!("error: {msg}");
-            }
-            eprintln!("usage: <binary> {USAGE}");
-            std::process::exit(e.exit_code());
-        })
-    }
-
-    /// Parses options from an explicit iterator.
+    /// Parses `--quick`, `--seed N`, and `--apps a,b,c`.
     ///
     /// Unknown flags, missing or malformed values, and unknown app names
     /// are rejected with [`CliError::Invalid`]; `--help`/`-h` maps to
@@ -153,7 +131,6 @@ mod tests {
     fn unknown_flag_is_invalid() {
         let e = Options::parse(args(&["--frobnicate"])).unwrap_err();
         assert_eq!(e, CliError::Invalid("unknown flag '--frobnicate'".into()));
-        assert_eq!(e.exit_code(), 2);
     }
 
     #[test]
@@ -182,7 +159,6 @@ mod tests {
     fn help_is_not_an_error_exit() {
         let e = Options::parse(args(&["--help"])).unwrap_err();
         assert_eq!(e, CliError::Help);
-        assert_eq!(e.exit_code(), 0);
         assert_eq!(Options::parse(args(&["-h"])).unwrap_err(), CliError::Help);
     }
 

@@ -19,6 +19,7 @@
 //! "accidentally deoptimized the hot loop 3×", not a 10% wobble.
 
 use crate::hotpath::HotpathReport;
+use crate::report::Json;
 
 /// Benchmark id prefixes the ratchet enforces a throughput floor on.
 pub const RATCHET_PREFIXES: [&str; 4] = ["linesim/", "kernels/", "campaign/", "serve/"];
@@ -52,57 +53,29 @@ pub struct TrackedReport {
 
 impl TrackedReport {
     /// Parses the fields the ratchet needs from a report produced by
-    /// `HotpathReport::to_json`. The format is line-oriented (one field
-    /// per line), so this is a line scanner, not a general JSON parser:
-    /// it keys off the `"id"` / `"per_second"` / `"checksum"` lines of
-    /// the `benches` array and ignores the campaign entries (which carry
-    /// `"label"` instead of `"id"`).
+    /// `HotpathReport::to_json`: the `smoke` flag and each entry of the
+    /// `benches` array (the campaign entries are not ratcheted). An
+    /// entry's `per_second` may be absent or `null` (a timing-stripped
+    /// report), which leaves it without a throughput floor.
     pub fn parse(json: &str) -> Result<TrackedReport, String> {
-        let mut smoke = None;
-        let mut benches = Vec::new();
-        let mut pending_id: Option<String> = None;
-        let mut pending_per_second: Option<f64> = None;
-        for (lineno, raw) in json.lines().enumerate() {
-            let line = raw.trim();
-            let err = |msg: &str| format!("line {}: {msg}: {line}", lineno + 1);
-            if let Some(rest) = line.strip_prefix("\"smoke\": ") {
-                smoke = Some(match rest.trim_end_matches(',') {
-                    "true" => true,
-                    "false" => false,
-                    _ => return Err(err("\"smoke\" is not a bool")),
-                });
-            } else if let Some(rest) = line.strip_prefix("\"id\": \"") {
-                let id = rest
-                    .strip_suffix("\",")
-                    .or_else(|| rest.strip_suffix('"'))
-                    .ok_or_else(|| err("unterminated \"id\" string"))?;
-                pending_id = Some(id.to_string());
-                pending_per_second = None;
-            } else if let Some(rest) = line.strip_prefix("\"per_second\": ") {
-                let v = rest.trim_end_matches(',');
-                pending_per_second = if v == "null" {
-                    None
-                } else {
-                    Some(v.parse().map_err(|_| err("bad \"per_second\" value"))?)
+        let root = Json::parse(json)?;
+        let smoke = root.field("smoke")?.bool("smoke")?;
+        let benches = root
+            .field("benches")?
+            .arr("benches")?
+            .iter()
+            .map(|b| {
+                let per_second = match b.field("per_second").ok() {
+                    None | Some(Json::Null) => None,
+                    Some(v) => Some(v.num("per_second")?),
                 };
-            } else if let Some(rest) = line.strip_prefix("\"checksum\": ") {
-                // Campaign checksums arrive with no pending id; skip them.
-                if let Some(id) = pending_id.take() {
-                    let checksum = rest
-                        .trim_end_matches(',')
-                        .parse()
-                        .map_err(|_| err("bad \"checksum\" value"))?;
-                    benches.push(TrackedBench {
-                        id,
-                        checksum,
-                        per_second: pending_per_second.take(),
-                    });
-                }
-            } else if line.starts_with("\"label\": ") {
-                pending_id = None;
-            }
-        }
-        let smoke = smoke.ok_or("tracked report has no \"smoke\" field")?;
+                Ok(TrackedBench {
+                    id: b.field("id")?.str("id")?.to_string(),
+                    checksum: b.field("checksum")?.u64("checksum")?,
+                    per_second,
+                })
+            })
+            .collect::<Result<Vec<_>, String>>()?;
         if benches.is_empty() {
             return Err("tracked report has no benchmark entries".into());
         }

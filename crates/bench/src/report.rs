@@ -66,7 +66,7 @@ impl Value {
     }
 
     /// The cell as a number, if it is one.
-    pub fn as_f64(&self) -> Option<f64> {
+    fn as_f64(&self) -> Option<f64> {
         match self {
             Value::Int(v) => Some(*v as f64),
             Value::Num(v, _) => Some(*v),
@@ -479,7 +479,7 @@ impl Report {
         let manifest = Manifest {
             experiment: m.field("experiment")?.str("experiment")?.to_string(),
             anchor: m.field("anchor")?.str("anchor")?.to_string(),
-            seed: m.field("seed")?.num("seed")? as u64,
+            seed: m.field("seed")?.u64("seed")?,
             quick: m.field("quick")?.bool("quick")?,
             apps: m
                 .field("apps")?
@@ -605,9 +605,11 @@ fn json_value(v: &Value) -> String {
 // ------------------------------------------------------------------ parser
 
 /// A parsed JSON value. Numbers keep their raw token so the precision a
-/// report was emitted with survives the round trip.
+/// report was emitted with survives the round trip, and so an integer
+/// reads back exactly ([`Json::u64`]). `pcm-lab` reports and the
+/// `pcm-bench-hotpath` ratchet both read through it.
 #[derive(Debug, Clone, PartialEq)]
-enum Json {
+pub(crate) enum Json {
     Obj(Vec<(String, Json)>),
     Arr(Vec<Json>),
     Str(String),
@@ -617,7 +619,7 @@ enum Json {
 }
 
 impl Json {
-    fn parse(text: &str) -> Result<Json, String> {
+    pub(crate) fn parse(text: &str) -> Result<Json, String> {
         let mut p = JsonParser {
             bytes: text.as_bytes(),
             pos: 0,
@@ -630,7 +632,7 @@ impl Json {
         Ok(v)
     }
 
-    fn field(&self, key: &str) -> Result<&Json, String> {
+    pub(crate) fn field(&self, key: &str) -> Result<&Json, String> {
         match self {
             Json::Obj(fields) => fields
                 .iter()
@@ -641,28 +643,39 @@ impl Json {
         }
     }
 
-    fn str(&self, what: &str) -> Result<&str, String> {
+    pub(crate) fn str(&self, what: &str) -> Result<&str, String> {
         match self {
             Json::Str(s) => Ok(s),
             _ => Err(format!("{what}: expected string")),
         }
     }
 
-    fn num(&self, what: &str) -> Result<f64, String> {
+    pub(crate) fn num(&self, what: &str) -> Result<f64, String> {
         match self {
             Json::Num(tok) => tok.parse().map_err(|_| format!("{what}: bad number {tok}")),
             _ => Err(format!("{what}: expected number")),
         }
     }
 
-    fn bool(&self, what: &str) -> Result<bool, String> {
+    /// An unsigned integer, parsed from the raw token: a seed or checksum
+    /// read through `f64` would lose every bit above 2^53.
+    pub(crate) fn u64(&self, what: &str) -> Result<u64, String> {
+        match self {
+            Json::Num(tok) => tok
+                .parse()
+                .map_err(|_| format!("{what}: bad integer {tok}")),
+            _ => Err(format!("{what}: expected number")),
+        }
+    }
+
+    pub(crate) fn bool(&self, what: &str) -> Result<bool, String> {
         match self {
             Json::Bool(b) => Ok(*b),
             _ => Err(format!("{what}: expected bool")),
         }
     }
 
-    fn arr(&self, what: &str) -> Result<&[Json], String> {
+    pub(crate) fn arr(&self, what: &str) -> Result<&[Json], String> {
         match self {
             Json::Arr(items) => Ok(items),
             _ => Err(format!("{what}: expected array")),
@@ -1071,216 +1084,6 @@ pub fn diff_reports(tracked: &Report, fresh: &Report) -> ReportDiff {
     }
 }
 
-// ------------------------------------------------------------------ merge
-
-/// Merges per-seed [`Report`]s (same experiment, different seeds) into one
-/// summary report: every numeric table cell becomes three columns — the
-/// across-seed mean and a 95% bootstrap confidence interval — and every
-/// series value becomes its across-seed mean. Text cells must agree across
-/// seeds and pass through unchanged. This powers
-/// `pcm-lab run --seeds N [--shard I/K]`.
-///
-/// The bootstrap is deterministic: a fixed-seed RNG resamples the per-seed
-/// values with replacement 200 times, so the same seed set always yields
-/// the same interval regardless of how the runs were scheduled.
-pub fn merge_reports(reports: &[Report]) -> Result<Report, String> {
-    let first = reports.first().ok_or("merge needs at least one report")?;
-    for r in &reports[1..] {
-        for (what, a, b) in [
-            (
-                "experiment",
-                &first.manifest.experiment,
-                &r.manifest.experiment,
-            ),
-            ("anchor", &first.manifest.anchor, &r.manifest.anchor),
-        ] {
-            if a != b {
-                return Err(format!("cannot merge across {what}s: '{a}' vs '{b}'"));
-            }
-        }
-        if first.manifest.quick != r.manifest.quick || first.manifest.apps != r.manifest.apps {
-            return Err("cannot merge runs with different scale or app lists".into());
-        }
-    }
-
-    let mut merged = Report::new(Manifest {
-        wall_ms: reports.iter().map(|r| r.manifest.wall_ms).sum(),
-        ..first.manifest.clone()
-    });
-
-    for (ti, t) in first.tables.iter().enumerate() {
-        let peers: Vec<&Table> = reports
-            .iter()
-            .map(|r| {
-                r.tables
-                    .get(ti)
-                    .filter(|p| table_shape_eq(t, p))
-                    .ok_or_else(|| {
-                        format!(
-                            "table '{}' missing or shaped differently in seed {}",
-                            t.title, r.manifest.seed
-                        )
-                    })
-            })
-            .collect::<Result<_, _>>()?;
-
-        let mut columns = Vec::new();
-        for (ci, c) in t.columns.iter().enumerate() {
-            if column_is_numeric(t, ci) {
-                columns.push(Column {
-                    name: format!("{} mean", c.name),
-                    tol: c.tol,
-                });
-                columns.push(Column {
-                    name: format!("{} ci95 lo", c.name),
-                    tol: c.tol,
-                });
-                columns.push(Column {
-                    name: format!("{} ci95 hi", c.name),
-                    tol: c.tol,
-                });
-            } else {
-                columns.push(c.clone());
-            }
-        }
-        let mut out = Table::new(&t.title, &t.label, columns);
-        for (ri, row) in t.rows.iter().enumerate() {
-            let mut values = Vec::new();
-            for (ci, c) in t.columns.iter().enumerate() {
-                let cells: Vec<&Value> = peers.iter().map(|p| &p.rows[ri].values[ci]).collect();
-                if column_is_numeric(t, ci) {
-                    let samples: Vec<f64> = cells
-                        .iter()
-                        .map(|v| v.as_f64().unwrap_or(f64::NAN))
-                        .collect();
-                    if samples.iter().any(|v| v.is_nan()) {
-                        return Err(format!(
-                            "table '{}' row '{}' col '{}' is numeric in some seeds only",
-                            t.title, row.label, c.name
-                        ));
-                    }
-                    let prec = merged_precision(&cells);
-                    let (mean, lo, hi) = mean_and_ci(&samples);
-                    values.push(Value::Num(mean, prec));
-                    values.push(Value::Num(lo, prec));
-                    values.push(Value::Num(hi, prec));
-                } else {
-                    for v in &cells[1..] {
-                        if v.render() != cells[0].render() {
-                            return Err(format!(
-                                "table '{}' row '{}' col '{}' disagrees across seeds: '{}' vs '{}'",
-                                t.title,
-                                row.label,
-                                c.name,
-                                cells[0].render(),
-                                v.render()
-                            ));
-                        }
-                    }
-                    values.push(cells[0].clone());
-                }
-            }
-            out.push(row.label.clone(), values);
-        }
-        merged.tables.push(out);
-    }
-
-    for (si, s) in first.series.iter().enumerate() {
-        let peers: Vec<&Series> = reports
-            .iter()
-            .map(|r| {
-                r.series
-                    .get(si)
-                    .filter(|p| {
-                        p.name == s.name && p.labels == s.labels && p.values.len() == s.values.len()
-                    })
-                    .ok_or_else(|| {
-                        format!(
-                            "series '{}' missing or shaped differently in seed {}",
-                            s.name, r.manifest.seed
-                        )
-                    })
-            })
-            .collect::<Result<_, _>>()?;
-        let mut mean = s.clone();
-        for (i, v) in mean.values.iter_mut().enumerate() {
-            *v = peers.iter().map(|p| p.values[i]).sum::<f64>() / peers.len() as f64;
-        }
-        merged.series.push(mean);
-    }
-
-    merged.note(format!(
-        "merged {} seed run(s): {}; numeric cells are across-seed mean with 95% bootstrap CI",
-        reports.len(),
-        reports
-            .iter()
-            .map(|r| r.manifest.seed.to_string())
-            .collect::<Vec<_>>()
-            .join(", ")
-    ));
-    Ok(merged)
-}
-
-fn table_shape_eq(a: &Table, b: &Table) -> bool {
-    a.title == b.title
-        && a.columns.len() == b.columns.len()
-        && a.columns
-            .iter()
-            .zip(&b.columns)
-            .all(|(x, y)| x.name == y.name)
-        && a.rows.len() == b.rows.len()
-        && a.rows.iter().zip(&b.rows).all(|(x, y)| x.label == y.label)
-}
-
-/// A column merges numerically when every one of its cells (in the shape
-/// reference table) is numeric.
-fn column_is_numeric(t: &Table, ci: usize) -> bool {
-    !t.rows.is_empty() && t.rows.iter().all(|r| r.values[ci].as_f64().is_some())
-}
-
-/// Emission precision for a merged statistic: the widest precision seen
-/// across seeds, with a floor of 2 so integer counts keep their fractional
-/// mean.
-fn merged_precision(cells: &[&Value]) -> usize {
-    cells
-        .iter()
-        .map(|v| match v {
-            Value::Num(_, p) => *p,
-            _ => 0,
-        })
-        .max()
-        .unwrap_or(0)
-        .max(2)
-}
-
-/// Across-sample mean plus a deterministic 95% bootstrap CI (200 fixed-seed
-/// resamples of the per-seed values, percentile method).
-fn mean_and_ci(samples: &[f64]) -> (f64, f64, f64) {
-    use rand::RngExt;
-    let n = samples.len();
-    let mean = samples.iter().sum::<f64>() / n as f64;
-    if n == 1 {
-        return (mean, mean, mean);
-    }
-    let mut rng = pcm_util::seeded_rng(0xC195_B007);
-    let resamples = 200;
-    let mut means: Vec<f64> = (0..resamples)
-        .map(|_| {
-            let mut acc = 0.0;
-            for _ in 0..n {
-                acc += samples[rng.random_range(0..n)];
-            }
-            acc / n as f64
-        })
-        .collect();
-    means.sort_unstable_by(|a, b| a.partial_cmp(b).expect("bootstrap means are finite"));
-    (
-        mean,
-        means[resamples / 20],
-        means[resamples - 1 - resamples / 20],
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1343,7 +1146,9 @@ mod tests {
 
     #[test]
     fn json_round_trip_is_identical() {
-        let r = sample();
+        let mut r = sample();
+        // A seed above 2^53 survives only if it is read as an integer.
+        r.manifest.seed = (1 << 53) + 1;
         let json = r.to_json();
         let parsed = Report::from_json(&json).expect("parse back");
         assert_eq!(parsed.to_json(), json);
@@ -1445,73 +1250,6 @@ mod tests {
         assert!(text.contains("# shape: "));
         assert!(text.contains("# Comp    "));
         assert!(text.contains("# a finding"));
-    }
-
-    #[test]
-    fn merge_averages_numeric_cells_and_passes_text_through() {
-        let a = sample();
-        let mut b = sample();
-        b.manifest.seed = 8;
-        b.tables[0].rows[0].values[0] = Value::Int(44); // 42 in `a`
-        b.series[0].values = vec![2.0, 1.5, 5.0]; // [0.0, 1.5, 3.0] in `a`
-        let m = merge_reports(&[a, b]).expect("merge");
-        let t = &m.tables[0];
-        assert_eq!(
-            t.columns.len(),
-            3 * 3 + 1,
-            "3 numeric cols expand, text stays"
-        );
-        assert_eq!(t.columns[0].name, "count mean");
-        assert_eq!(t.columns[1].name, "count ci95 lo");
-        assert_eq!(t.rows[0].values[0].render(), "43.00");
-        // Text column rides along unchanged.
-        assert_eq!(t.columns[9].name, "class");
-        assert_eq!(t.rows[0].values[9].render(), "COMP\tHIGH");
-        // Series become pointwise means.
-        assert_eq!(m.series[0].values, vec![1.0, 1.5, 4.0]);
-        assert_eq!(m.manifest.wall_ms, 25.0);
-        assert!(m.notes.iter().any(|n| n.contains("merged 2 seed run(s)")));
-    }
-
-    #[test]
-    fn merge_is_deterministic_and_bounds_bracket_the_mean() {
-        let mut reports = Vec::new();
-        for (seed, v) in [(1u64, 10.0), (2, 12.0), (3, 17.0), (4, 11.0)] {
-            let mut r = sample();
-            r.manifest.seed = seed;
-            r.tables[0].rows[0].values[1] = Value::Num(v, 2);
-            reports.push(r);
-        }
-        let m1 = merge_reports(&reports).expect("merge");
-        let m2 = merge_reports(&reports).expect("merge");
-        assert_eq!(m1.to_json(), m2.to_json(), "bootstrap must be seeded");
-        let row = &m1.tables[0].rows[0];
-        let (mean, lo, hi) = (
-            row.values[3].as_f64().unwrap(),
-            row.values[4].as_f64().unwrap(),
-            row.values[5].as_f64().unwrap(),
-        );
-        assert_eq!(mean, 12.5);
-        assert!(
-            lo <= mean && mean <= hi,
-            "CI [{lo}, {hi}] must bracket {mean}"
-        );
-        assert!(lo >= 10.0 && hi <= 17.0, "CI stays inside the sample range");
-    }
-
-    #[test]
-    fn merge_rejects_incompatible_reports() {
-        assert!(merge_reports(&[]).is_err());
-        let a = sample();
-        let mut b = sample();
-        b.manifest.experiment = "other".into();
-        assert!(merge_reports(&[a.clone(), b]).is_err());
-        let mut b = sample();
-        b.tables[0].rows.pop();
-        assert!(merge_reports(&[a.clone(), b]).is_err());
-        let mut b = sample();
-        b.tables[0].rows[0].values[3] = Value::Text("different".into());
-        assert!(merge_reports(&[a, b]).is_err());
     }
 
     #[test]

@@ -26,8 +26,7 @@ use serde::{Deserialize, Serialize};
 pub(crate) const FPC_DECOMPRESSION_CYCLES: u64 = 5;
 
 /// Largest possible FPC output: sixteen raw words at 35 bits each, packed
-/// into 70 bytes. Buffers handed to [`compress_bounded_into`] must hold at
-/// least this much.
+/// into 70 bytes.
 pub const FPC_MAX_BYTES: usize = 70;
 
 const WORDS: usize = 16;
@@ -256,12 +255,11 @@ pub fn compress_bounded(line: &Line512, max_bits: usize) -> Option<FpcCompressed
     })
 }
 
-/// Allocation-free [`compress_bounded`]: packs the stream into `out` (which
-/// must hold at least [`FPC_MAX_BYTES`]) and returns the exact bit length;
-/// the payload occupies the first `bit_len.div_ceil(8)` bytes, and `out` is
-/// untouched when the stream passes `max_bits`. `compress_bounded`
-/// delegates here, so the two can never disagree.
-pub fn compress_bounded_into(line: &Line512, max_bits: usize, out: &mut [u8]) -> Option<usize> {
+/// Packs the stream into `out` (which must hold at least
+/// [`FPC_MAX_BYTES`]) and returns the exact bit length; the payload
+/// occupies the first `bit_len.div_ceil(8)` bytes, and `out` is untouched
+/// when the stream passes `max_bits`.
+fn compress_bounded_into(line: &Line512, max_bits: usize, out: &mut [u8]) -> Option<usize> {
     assert!(out.len() >= FPC_MAX_BYTES, "output buffer too small");
     let words = line.words();
     let bits = stream_bits(&words, max_bits)?;

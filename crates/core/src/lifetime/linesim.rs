@@ -203,12 +203,10 @@ pub fn simulate_line_with(cfg: &LineSimConfig, seed: u64, scratch: &mut LineScra
             .max(1);
         let k = (cfg.sample_writes as u64).min(seg);
 
-        // Real writes: establish the flip pattern of this segment. Flip
-        // masks land in a carry-save bit-plane accumulator and are only
-        // expanded to per-bit counts once, at the fast-forward boundary;
-        // their union names the cells the fast-forward visits.
+        // Real writes: establish the flip pattern of this segment. Each
+        // flip mask adds one to the count of every cell it programs; the
+        // masks' union names the cells the fast-forward visits.
         let mut counts = [0u32; DATA_BITS];
-        let mut flip_acc = simd::MaskAccumulator::new();
         let mut touched = Line512::zero();
         let mut done: u64 = 0;
         let mut died = false;
@@ -219,7 +217,7 @@ pub fn simulate_line_with(cfg: &LineSimConfig, seed: u64, scratch: &mut LineScra
                 Ok(s) => {
                     flip_sum += s.report.flips as u64;
                     sampled += 1;
-                    flip_acc.accumulate(&mut counts, &s.report.flip_mask.words());
+                    simd::mask_accumulate(&mut counts, &s.report.flip_mask.words());
                     touched = touched | s.report.flip_mask;
                     meta = s.meta;
                 }
@@ -249,7 +247,6 @@ pub fn simulate_line_with(cfg: &LineSimConfig, seed: u64, scratch: &mut LineScra
         // write-accurate (no multi-fault overshoot within a segment).
         let extra = seg - done;
         if extra > 0 {
-            flip_acc.drain_into(&mut counts);
             let extra = line.fast_forward(&counts, &touched, done, extra);
             writes += extra;
             residency_left = residency_left.saturating_sub(extra);

@@ -187,11 +187,6 @@ impl FrameDecoder {
         self.buf.extend_from_slice(bytes);
     }
 
-    /// Bytes currently buffered but not yet consumed.
-    pub fn pending(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
     /// Parses the next complete frame, if one is buffered.
     ///
     /// Returns `None` when more bytes are needed. A non-fatal `Err`
@@ -222,7 +217,7 @@ impl FrameDecoder {
 
     /// Signals end-of-stream: any buffered partial frame is a truncation.
     pub fn finish(&self) -> Result<(), ProtoError> {
-        if self.pending() == 0 {
+        if self.pos == self.buf.len() {
             Ok(())
         } else {
             Err(ProtoError::Truncated)

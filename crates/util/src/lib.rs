@@ -8,8 +8,8 @@
 //! * [`Line512`] — a 64-byte (512-bit) memory line, the unit of every
 //!   write-back, compression, differential write, and fault-tolerance
 //!   operation in the paper.
-//! * [`stats`] — small statistics helpers (means, percentiles, empirical
-//!   CDFs, histograms) used by the experiment harness.
+//! * [`stats`] — small statistics helpers (mean, standard deviation,
+//!   empirical CDFs) used by the experiment harness.
 //! * [`dist`] — seedable samplers (normal, Zipf) used by the fault model and
 //!   the synthetic workload generator.
 //!

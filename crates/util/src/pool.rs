@@ -180,56 +180,21 @@ impl Pool {
         R: Send,
         F: Fn(usize, &mut T) -> R + Sync,
     {
-        let n = items.len();
-        let workers = self.threads.min(n);
-        if workers <= 1 || Self::in_worker() {
-            return items
-                .iter_mut()
-                .enumerate()
-                .map(|(i, item)| f(i, item))
-                .collect();
-        }
-
         // One-shot handoff cells: each holds the exclusive borrow of one
-        // element until some worker claims that index and takes it out.
+        // element until the job for that index takes it out. Chunk 1 makes
+        // every element its own claim.
         let cells: Vec<Mutex<Option<&mut T>>> = items
             .iter_mut()
             .map(|item| Mutex::new(Some(item)))
             .collect();
-        let next = AtomicUsize::new(0);
-        let done: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(n));
-        std::thread::scope(|s| {
-            let work = || {
-                let _guard = WorkerGuard::enter();
-                let mut local: Vec<(usize, R)> = Vec::new();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let item = cells[i]
-                        .lock()
-                        .expect("pool handoff mutex poisoned")
-                        .take()
-                        .expect("element claimed twice");
-                    local.push((i, f(i, item)));
-                }
-                if !local.is_empty() {
-                    done.lock()
-                        .expect("pool results mutex poisoned")
-                        .extend(local);
-                }
-            };
-            for _ in 1..workers {
-                s.spawn(work);
-            }
-            work();
-        });
-
-        let mut results = done.into_inner().expect("pool results mutex poisoned");
-        results.sort_unstable_by_key(|&(i, _)| i);
-        assert_eq!(results.len(), n, "pool dropped jobs");
-        results.into_iter().map(|(_, r)| r).collect()
+        self.map_indexed(cells.len(), 1, |i| {
+            let item = cells[i]
+                .lock()
+                .expect("pool handoff mutex poisoned")
+                .take()
+                .expect("element claimed twice");
+            f(i, item)
+        })
     }
 
     /// Runs `f` over `0..n` on the pool while the calling thread consumes
@@ -391,6 +356,31 @@ mod tests {
         for threads in [2, 4, 7] {
             assert_eq!(run(threads), want, "threads={threads}");
         }
+    }
+
+    #[test]
+    fn map_each_mut_inside_a_job_runs_serially() {
+        let sums = Pool::new(4).map_indexed(6, 1, |i| {
+            assert!(Pool::in_worker());
+            let job_thread = std::thread::current().id();
+            let mut items: Vec<usize> = (0..5).collect();
+            let out = Pool::new(4).map_each_mut(&mut items, |j, item| {
+                assert_eq!(
+                    std::thread::current().id(),
+                    job_thread,
+                    "a nested map_each_mut must not hand elements to new workers"
+                );
+                *item += i * 10;
+                *item + j
+            });
+            out.iter().sum::<usize>() + items.iter().sum::<usize>()
+        });
+        let want: Vec<usize> = (0..6).map(|i| 30 + 100 * i).collect();
+        assert_eq!(sums, want);
+        assert!(
+            !Pool::in_worker(),
+            "worker flag must not leak to the caller"
+        );
     }
 
     #[test]

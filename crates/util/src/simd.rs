@@ -6,9 +6,7 @@
 //! statistics), and "minimum remaining endurance over a mask" (death
 //! scans). Each treats a `Line512` mask as 512 predicate lanes over the
 //! line's per-cell arrays (`[u32; 512]` wear, endurance, and flip counts),
-//! one u64 word of 64 cells at a time. [`MaskAccumulator`] goes one step
-//! further and keeps the counts themselves as bit planes, so folding a
-//! mask costs a few word operations however many bits it sets.
+//! one u64 word of 64 cells at a time.
 
 use crate::DATA_BITS;
 
@@ -16,9 +14,6 @@ use crate::DATA_BITS;
 /// (each line is its own pool job); the benchmarks time a batch of this
 /// many lines as one unit.
 pub const BATCH_LANES: usize = 64;
-
-/// u64 words per line.
-const WORDS: usize = DATA_BITS / 64;
 
 /// Popcount of eight u64 words (one `Line512`).
 #[inline]
@@ -139,96 +134,9 @@ pub fn min_remaining(wear: &[u32], endurance: &[u32], healthy: &[u64; 8]) -> u32
     min
 }
 
-/// A carry-save accumulator of 512-bit masks, in bit-plane layout.
-///
-/// Where [`mask_accumulate`] walks 512 u32 counters per mask, this folds
-/// each mask into six bit *planes* (plane `j`, word `w` holds bit `j` of
-/// the running per-cell count for cells `64w..64w+64`) with a half-adder
-/// carry chain — a handful of u64 ops per mask, independent of how many
-/// bits are set. [`Self::drain_into`] materializes the planes into the
-/// real counter array; it runs automatically when the 6-bit planes would
-/// overflow (every 63 masks), so the amortized cost per mask stays tiny.
-#[derive(Debug, Clone, Default)]
-pub struct MaskAccumulator {
-    planes: [[u64; WORDS]; 6],
-    pending: u32,
-}
-
-impl MaskAccumulator {
-    /// Masks the planes can absorb before [`Self::accumulate`] must drain.
-    pub const CAPACITY: u32 = 63;
-
-    /// A fresh, empty accumulator.
-    pub fn new() -> Self {
-        MaskAccumulator::default()
-    }
-
-    /// Number of masks folded in since the last drain.
-    pub fn pending(&self) -> u32 {
-        self.pending
-    }
-
-    /// Folds one mask in, draining into `counts` first if the planes are
-    /// full. Equivalent to `mask_accumulate(counts, mask)` once a final
-    /// [`Self::drain_into`] lands the remainder.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `counts.len() < 512`.
-    #[inline]
-    pub fn accumulate(&mut self, counts: &mut [u32], mask: &[u64; 8]) {
-        if self.pending == Self::CAPACITY {
-            self.drain_into(counts);
-        }
-        for (w, &m) in mask.iter().enumerate() {
-            let mut carry = m;
-            for plane in &mut self.planes {
-                if carry == 0 {
-                    break;
-                }
-                let sum = plane[w] ^ carry;
-                carry &= plane[w];
-                plane[w] = sum;
-            }
-            debug_assert_eq!(carry, 0, "plane overflow despite capacity drain");
-        }
-        self.pending += 1;
-    }
-
-    /// Adds the planes' per-cell counts into `counts` and resets.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `counts.len() < 512`.
-    pub fn drain_into(&mut self, counts: &mut [u32]) {
-        assert!(counts.len() >= DATA_BITS, "counter array shorter than line");
-        for w in 0..WORDS {
-            let mut touched = 0u64;
-            for plane in &self.planes {
-                touched |= plane[w];
-            }
-            while touched != 0 {
-                let tz = touched.trailing_zeros() as usize;
-                touched &= touched - 1;
-                let mut v = 0u32;
-                for (j, plane) in self.planes.iter().enumerate() {
-                    v |= (((plane[w] >> tz) & 1) as u32) << j;
-                }
-                counts[w * 64 + tz] += v;
-            }
-            for plane in &mut self.planes {
-                plane[w] = 0;
-            }
-        }
-        self.pending = 0;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::line::Line512;
-    use crate::seeded_rng;
 
     #[test]
     fn wear_step_reports_deaths_only_for_programmed_cells() {
@@ -244,23 +152,6 @@ mod tests {
         assert_eq!(wear[3], 1);
         assert_eq!(wear[5], 1);
         assert_eq!(wear[100], 7);
-    }
-
-    #[test]
-    fn mask_accumulator_matches_direct_accumulation() {
-        let mut rng = seeded_rng(72);
-        let mut direct = [0u32; DATA_BITS];
-        let mut planes = [0u32; DATA_BITS];
-        let mut acc = MaskAccumulator::new();
-        // 150 masks force two automatic capacity drains along the way.
-        for _ in 0..150 {
-            let words = Line512::random(&mut rng).words();
-            mask_accumulate(&mut direct, &words);
-            acc.accumulate(&mut planes, &words);
-        }
-        acc.drain_into(&mut planes);
-        assert_eq!(planes, direct);
-        assert_eq!(acc.pending(), 0);
     }
 
     #[test]

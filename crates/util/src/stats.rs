@@ -16,26 +16,6 @@ pub fn mean(xs: &[f64]) -> f64 {
     xs.iter().sum::<f64>() / xs.len() as f64
 }
 
-/// Geometric mean of a slice of positive values. Returns `0.0` for an empty
-/// slice.
-///
-/// # Panics
-///
-/// Panics if any value is non-positive.
-pub fn geo_mean(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        return 0.0;
-    }
-    let log_sum: f64 = xs
-        .iter()
-        .map(|&x| {
-            assert!(x > 0.0, "geo_mean requires positive values, got {x}");
-            x.ln()
-        })
-        .sum();
-    (log_sum / xs.len() as f64).exp()
-}
-
 /// Sample standard deviation (n-1 denominator). Returns `0.0` when fewer
 /// than two samples are given.
 pub fn std_dev(xs: &[f64]) -> f64 {
@@ -54,7 +34,6 @@ pub fn std_dev(xs: &[f64]) -> f64 {
 /// ```
 /// let cdf = pcm_util::stats::Ecdf::new(vec![1.0, 2.0, 3.0, 4.0]);
 /// assert_eq!(cdf.fraction_le(2.0), 0.5);
-/// assert_eq!(cdf.quantile(0.5), 2.0);
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Ecdf {
@@ -94,215 +73,6 @@ impl Ecdf {
         let count = self.sorted.partition_point(|&v| v <= x);
         count as f64 / self.sorted.len() as f64
     }
-
-    /// The `p`-quantile (nearest-rank), with `p` in `[0, 1]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the ECDF is empty or `p` is outside `[0, 1]`.
-    pub fn quantile(&self, p: f64) -> f64 {
-        assert!(!self.sorted.is_empty(), "quantile of empty ECDF");
-        assert!((0.0..=1.0).contains(&p), "p must be in [0,1], got {p}");
-        let rank = ((p * self.sorted.len() as f64).ceil() as usize).clamp(1, self.sorted.len());
-        self.sorted[rank - 1]
-    }
-
-    /// The sorted samples.
-    pub fn samples(&self) -> &[f64] {
-        &self.sorted
-    }
-}
-
-/// A fixed-width histogram over `[min, max)`.
-///
-/// Samples below `min` clamp into the first bin, samples at or above `max`
-/// into the last.
-///
-/// # Examples
-///
-/// ```
-/// let mut h = pcm_util::stats::Histogram::new(0.0, 10.0, 5);
-/// h.record(1.0);
-/// h.record(9.5);
-/// assert_eq!(h.counts()[0], 1);
-/// assert_eq!(h.counts()[4], 1);
-/// assert_eq!(h.total(), 2);
-/// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Histogram {
-    min: f64,
-    max: f64,
-    counts: Vec<u64>,
-}
-
-impl Histogram {
-    /// Creates a histogram with `bins` equal-width bins over `[min, max)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bins == 0` or `max <= min`.
-    pub fn new(min: f64, max: f64, bins: usize) -> Self {
-        assert!(bins > 0, "histogram needs at least one bin");
-        assert!(max > min, "histogram range must be non-empty");
-        Histogram {
-            min,
-            max,
-            counts: vec![0; bins],
-        }
-    }
-
-    /// Records one sample.
-    pub fn record(&mut self, x: f64) {
-        let bins = self.counts.len();
-        let idx = if x < self.min {
-            0
-        } else {
-            let raw = ((x - self.min) / (self.max - self.min) * bins as f64) as usize;
-            raw.min(bins - 1)
-        };
-        self.counts[idx] += 1;
-    }
-
-    /// Per-bin counts.
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// Total number of recorded samples.
-    pub fn total(&self) -> u64 {
-        self.counts.iter().sum()
-    }
-
-    /// Lower edge of bin `i`.
-    pub fn bin_low(&self, i: usize) -> f64 {
-        self.min + (self.max - self.min) * i as f64 / self.counts.len() as f64
-    }
-}
-
-/// A bootstrap confidence interval for a statistic of a sample set.
-///
-/// Resamples `samples` with replacement `resamples` times, applies `stat`
-/// to each resample, and returns the `(lo, hi)` empirical quantiles at
-/// `(1 - confidence) / 2` and `1 - (1 - confidence) / 2`.
-///
-/// # Panics
-///
-/// Panics if `samples` is empty, `resamples == 0`, or `confidence` is not
-/// in `(0, 1)`.
-///
-/// # Examples
-///
-/// ```
-/// use pcm_util::stats::{bootstrap_ci, mean};
-///
-/// let xs: Vec<f64> = (0..100).map(|i| i as f64).collect();
-/// let (lo, hi) = bootstrap_ci(&xs, mean, 0.95, 200, 42);
-/// assert!(lo < 49.5 && 49.5 < hi);
-/// ```
-pub fn bootstrap_ci<F: Fn(&[f64]) -> f64>(
-    samples: &[f64],
-    stat: F,
-    confidence: f64,
-    resamples: usize,
-    seed: u64,
-) -> (f64, f64) {
-    assert!(!samples.is_empty(), "bootstrap needs samples");
-    assert!(resamples > 0, "need at least one resample");
-    assert!(
-        confidence > 0.0 && confidence < 1.0,
-        "confidence must be in (0,1)"
-    );
-    use rand::RngExt;
-    let mut rng = crate::seeded_rng(seed);
-    let mut stats: Vec<f64> = (0..resamples)
-        .map(|_| {
-            let resample: Vec<f64> = (0..samples.len())
-                .map(|_| samples[rng.random_range(0..samples.len())])
-                .collect();
-            stat(&resample)
-        })
-        .collect();
-    stats.sort_by(|a, b| a.partial_cmp(b).expect("no NaN"));
-    let alpha = (1.0 - confidence) / 2.0;
-    let lo_idx = ((stats.len() as f64 * alpha) as usize).min(stats.len() - 1);
-    let hi_idx = ((stats.len() as f64 * (1.0 - alpha)) as usize).min(stats.len() - 1);
-    (stats[lo_idx], stats[hi_idx])
-}
-
-/// A running summary of a stream of `f64` samples (count/mean/min/max),
-/// using Welford's algorithm for numerically stable variance.
-///
-/// # Examples
-///
-/// ```
-/// let mut s = pcm_util::stats::Running::new();
-/// for x in [1.0, 2.0, 3.0] { s.record(x); }
-/// assert_eq!(s.mean(), 2.0);
-/// assert_eq!(s.count(), 3);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
-pub struct Running {
-    count: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl Running {
-    /// Creates an empty summary.
-    pub fn new() -> Self {
-        Running {
-            count: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Records one sample.
-    pub fn record(&mut self, x: f64) {
-        self.count += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of samples recorded.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Mean of the samples (0.0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Sample standard deviation (0.0 with fewer than two samples).
-    pub fn std_dev(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            (self.m2 / (self.count - 1) as f64).sqrt()
-        }
-    }
-
-    /// Minimum sample (`+inf` when empty).
-    pub fn min(&self) -> f64 {
-        self.min
-    }
-
-    /// Maximum sample (`-inf` when empty).
-    pub fn max(&self) -> f64 {
-        self.max
-    }
 }
 
 #[cfg(test)]
@@ -319,65 +89,10 @@ mod tests {
     }
 
     #[test]
-    fn geo_mean_basics() {
-        assert!((geo_mean(&[1.0, 100.0]) - 10.0).abs() < 1e-9);
-        assert_eq!(geo_mean(&[]), 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn geo_mean_rejects_nonpositive() {
-        geo_mean(&[1.0, 0.0]);
-    }
-
-    #[test]
     fn ecdf_fractions() {
         let cdf = Ecdf::new(vec![5.0, 1.0, 3.0, 2.0, 4.0]);
         assert_eq!(cdf.fraction_le(0.0), 0.0);
         assert_eq!(cdf.fraction_le(3.0), 0.6);
         assert_eq!(cdf.fraction_le(100.0), 1.0);
-        assert_eq!(cdf.quantile(0.0), 1.0);
-        assert_eq!(cdf.quantile(1.0), 5.0);
-    }
-
-    #[test]
-    fn histogram_clamps() {
-        let mut h = Histogram::new(0.0, 10.0, 10);
-        h.record(-5.0);
-        h.record(15.0);
-        h.record(5.0);
-        assert_eq!(h.counts()[0], 1);
-        assert_eq!(h.counts()[9], 1);
-        assert_eq!(h.counts()[5], 1);
-        assert_eq!(h.total(), 3);
-        assert_eq!(h.bin_low(5), 5.0);
-    }
-
-    #[test]
-    fn bootstrap_ci_brackets_the_statistic() {
-        let xs: Vec<f64> = (0..200).map(|i| (i % 50) as f64).collect();
-        let (lo, hi) = bootstrap_ci(&xs, mean, 0.9, 300, 7);
-        let m = mean(&xs);
-        assert!(lo <= m && m <= hi, "[{lo}, {hi}] should bracket {m}");
-        assert!(hi - lo < 10.0, "interval suspiciously wide: [{lo}, {hi}]");
-    }
-
-    #[test]
-    #[should_panic(expected = "needs samples")]
-    fn bootstrap_rejects_empty() {
-        bootstrap_ci(&[], mean, 0.9, 10, 0);
-    }
-
-    #[test]
-    fn running_matches_batch() {
-        let xs = [3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0];
-        let mut r = Running::new();
-        for &x in &xs {
-            r.record(x);
-        }
-        assert!((r.mean() - mean(&xs)).abs() < 1e-12);
-        assert!((r.std_dev() - std_dev(&xs)).abs() < 1e-12);
-        assert_eq!(r.min(), 1.0);
-        assert_eq!(r.max(), 9.0);
     }
 }

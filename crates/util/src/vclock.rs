@@ -92,11 +92,6 @@ impl ArrivalStream {
     pub fn draw<T: rand::Random>(&mut self) -> T {
         self.rng.random()
     }
-
-    /// Draws a value in `0..n` from the stream's RNG.
-    pub fn draw_index(&mut self, n: u64) -> u64 {
-        self.rng.random_range(0..n)
-    }
 }
 
 #[cfg(test)]
@@ -154,7 +149,7 @@ mod tests {
         let mut b = ArrivalStream::new(5, 100.0);
         for _ in 0..100 {
             assert_eq!(a.next_arrival(), b.next_arrival());
-            assert_eq!(a.draw_index(15), b.draw_index(15));
+            assert_eq!(a.draw::<u64>(), b.draw::<u64>());
         }
     }
 }

@@ -5,7 +5,7 @@
 //! the kernel agrees bit-for-bit on arbitrary lines and adversarial
 //! patterns.
 
-use pcm_util::simd::{self, MaskAccumulator};
+use pcm_util::simd;
 use pcm_util::{Line512, DATA_BITS};
 use proptest::prelude::*;
 
@@ -106,29 +106,6 @@ proptest! {
             .unwrap_or(u32::MAX);
         prop_assert_eq!(got, want);
     }
-
-    /// Folding any mask sequence through the carry-save accumulator (with
-    /// its automatic capacity drains) and landing the remainder equals
-    /// calling `mask_accumulate` once per mask. Sequences beyond 63 masks
-    /// cross the auto-drain boundary.
-    #[test]
-    fn mask_accumulator_equiv(
-        masks in prop::collection::vec(arb_line(), 1..=150),
-        base in prop::collection::vec(0u32..1000, DATA_BITS),
-    ) {
-        let mut acc_counts = base.clone();
-        let mut acc = MaskAccumulator::new();
-        for mask in &masks {
-            acc.accumulate(&mut acc_counts, &mask.words());
-        }
-        acc.drain_into(&mut acc_counts);
-        prop_assert_eq!(acc.pending(), 0);
-        let mut direct = base.clone();
-        for mask in &masks {
-            simd::mask_accumulate(&mut direct, &mask.words());
-        }
-        prop_assert_eq!(acc_counts, direct);
-    }
 }
 
 /// An empty healthy mask yields `u32::MAX` (no cell constrains the bound).
@@ -144,30 +121,4 @@ fn min_remaining_empty_healthy() {
         simd::min_remaining(&wear, &endurance, &Line512::ones().words()),
         2
     );
-}
-
-/// The accumulator drains itself exactly at capacity: 63 all-ones masks
-/// fit, the 64th forces a drain, and no count is lost either side of the
-/// boundary.
-#[test]
-fn mask_accumulator_capacity_boundary() {
-    let mut counts = vec![0u32; DATA_BITS];
-    let mut acc = MaskAccumulator::new();
-    let ones = Line512::ones().words();
-    for i in 0..MaskAccumulator::CAPACITY {
-        acc.accumulate(&mut counts, &ones);
-        assert_eq!(acc.pending(), i + 1);
-    }
-    // Planes are full; the counters still hold nothing.
-    assert_eq!(counts[0], 0);
-    acc.accumulate(&mut counts, &ones);
-    // The 64th fold drained 63 and kept 1 pending.
-    assert_eq!(acc.pending(), 1);
-    assert_eq!(counts[0], MaskAccumulator::CAPACITY);
-    acc.drain_into(&mut counts);
-    assert_eq!(acc.pending(), 0);
-    assert!(counts.iter().all(|&c| c == MaskAccumulator::CAPACITY + 1));
-    // Draining an empty accumulator is a no-op.
-    acc.drain_into(&mut counts);
-    assert!(counts.iter().all(|&c| c == MaskAccumulator::CAPACITY + 1));
 }
