@@ -72,6 +72,7 @@ impl CompressionHeuristic {
     /// # Panics
     ///
     /// Panics if `sc >= 4`.
+    #[inline]
     pub fn decide(&self, new_size: usize, old_size: usize, sc: u8) -> (Decision, u8) {
         assert!(sc < 4, "SC is a 2-bit counter");
         // Step 1: high compression ratio — always compress; the small

@@ -124,6 +124,7 @@ impl PlacementMemo {
     /// The memo for `choice` over the fault mask `faults`: kept whole
     /// when the key is unchanged, stripped of the fitting windows that
     /// cover a newly faulty byte when `faults` grew, emptied otherwise.
+    #[inline]
     fn keyed(&mut self, choice: EccChoice, faults: Line512) -> &mut Self {
         if choice != self.choice || !(self.faults & !faults).is_zero() {
             self.probed = [0; DATA_BYTES];
@@ -153,6 +154,7 @@ impl PlacementMemo {
     /// Whether the `len`-byte window at `offset` fits: `probe` answers on
     /// the window's first probe under the current key, the bitmaps after
     /// that.
+    #[inline]
     fn fits(&mut self, len: usize, offset: usize, probe: impl FnOnce() -> bool) -> bool {
         let (word, bit) = (len - 1, 1u64 << offset);
         if self.probed[word] & bit == 0 {
@@ -288,6 +290,7 @@ impl ManagedLine {
     ///
     /// Panics unless `len` is `1..=64`, `preferred < 64`, and `step` is a
     /// power of two dividing 64.
+    #[inline]
     pub fn can_host(
         &mut self,
         ecc: EccChoice,
@@ -332,6 +335,7 @@ impl ManagedLine {
     ///
     /// Panics if the payload is empty or exceeds 64 bytes, `preferred >=
     /// 64`, or `step` is not a power of two dividing 64.
+    #[inline]
     pub fn write(
         &mut self,
         ecc: EccChoice,

@@ -91,6 +91,7 @@ impl PayloadBufs {
 /// the updated per-block metadata, and — when the heuristic chose raw
 /// storage of compressible data — the method of the compressed fallback
 /// left in `bufs.fallback`.
+#[inline]
 pub(crate) fn choose_payload(
     cfg: &SystemConfig,
     meta: HostMeta,
@@ -163,6 +164,7 @@ pub(crate) struct Stored<'a> {
 ///
 /// Returns [`LineDead`], leaving the line dead, when the chosen form
 /// cannot be stored.
+#[inline]
 pub(crate) fn store<'a>(
     line: &mut ManagedLine,
     sys: &SystemConfig,

@@ -71,6 +71,7 @@ fn ecp_of(choice: EccChoice) -> &'static Ecp {
 
 /// The shared instance behind an [`EccChoice`] — the single construction
 /// path for hard-error schemes.
+#[inline]
 pub fn ecc_scheme(choice: EccChoice) -> &'static dyn HardErrorScheme {
     match choice {
         EccChoice::Ecp6 | EccChoice::EcpN(_) => ecp_of(choice),
@@ -120,6 +121,7 @@ const _: () = {
 /// Returns the scheme's [`EccError`] when it cannot mask `faults` for
 /// this data. No scheme here does so when
 /// [`can_store`](HardErrorScheme::can_store) accepted the positions.
+#[inline]
 pub(crate) fn encode(
     choice: EccChoice,
     target: &Line512,

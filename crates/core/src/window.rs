@@ -28,6 +28,7 @@ use pcm_util::{Line512, DATA_BITS, DATA_BYTES};
 /// assert!(m.bit(62 * 8));
 /// assert!(!m.bit(2 * 8));
 /// ```
+#[inline]
 pub fn window_mask(offset: usize, len: usize) -> Line512 {
     assert!(offset < DATA_BYTES, "offset must be < 64");
     assert!(len <= DATA_BYTES, "window at most 64 bytes");
@@ -126,6 +127,7 @@ pub fn find_offset(
 ///
 /// Panics unless `len` is `1..=64`, `preferred < 64`, and `step` is a
 /// power of two dividing 64.
+#[inline]
 pub(crate) fn first_fit(
     len: usize,
     preferred: usize,

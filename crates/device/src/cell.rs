@@ -162,17 +162,27 @@ pub struct LineWear {
     /// write runs the full check and recomputes), so it is excluded from
     /// equality.
     slack: u32,
-    /// Whether `slack` has never been computed for the current fault set.
-    /// The bound only *rises* when a dying cell leaves the healthy set, so
-    /// the full write path recomputes it exactly then (or on first use)
-    /// instead of on every slow-path write.
+    /// Whether the next computation of `slack` must rescan every cell: on
+    /// a fresh line, and after a death that no rescan followed, when
+    /// `slack_min` no longer describes the healthy set. The bound only
+    /// *rises* when a dying cell leaves the healthy set, so the full write
+    /// path recomputes it exactly then instead of on every slow-path write.
     slack_stale: bool,
+    /// The exact `min(endurance - wear)` over the healthy cells when
+    /// `slack` was last computed.
+    slack_min: u32,
+    /// The cells whose wear changed since `slack` was last computed. With
+    /// no death in between, every other healthy cell still has at least
+    /// `slack_min` left, so the minimum over these cells and `slack_min`
+    /// is the exact bound (see [`Self::fast_forward`]).
+    slack_changed: Line512,
 }
 
 impl PartialEq for LineWear {
     fn eq(&self, other: &Self) -> bool {
-        // `slack` is a conservative cache, not state: two lines that took
-        // different code paths to identical wear may hold different slack.
+        // The slack fields are a conservative cache, not state: two lines
+        // that took different code paths to identical wear may hold
+        // different bounds.
         self.tech == other.tech
             && self.endurance == other.endurance
             && self.wear == other.wear
@@ -206,6 +216,8 @@ impl LineWear {
             faults: FaultMap::new(),
             slack: 0,
             slack_stale: true,
+            slack_min: 0,
+            slack_changed: Line512::zero(),
         }
     }
 
@@ -224,6 +236,8 @@ impl LineWear {
             faults: FaultMap::new(),
             slack: 0,
             slack_stale: true,
+            slack_min: 0,
+            slack_changed: Line512::zero(),
         }
     }
 
@@ -250,6 +264,8 @@ impl LineWear {
             faults: *faults,
             slack: 0,
             slack_stale: true,
+            slack_min: 0,
+            slack_changed: Line512::zero(),
         }
     }
 
@@ -301,6 +317,7 @@ impl LineWear {
     /// endurance during this write keeps its *old* value and becomes stuck
     /// there; the failure is reported in the [`WriteOutcome`] (write-verify), so the
     /// caller can immediately re-encode around it.
+    #[inline]
     pub fn write(&mut self, target: &Line512) -> WriteOutcome {
         let diff = self.stored ^ *target;
         if self.tech == CellTech::Slc {
@@ -316,6 +333,7 @@ impl LineWear {
     /// per-bit loop below ([`Self::write_per_bit`]) is the reference
     /// semantic; the differential rig in `tests/wear_model_equiv.rs` pins
     /// the equivalence against an independent model.
+    #[inline]
     fn write_slc(&mut self, diff: Line512) -> WriteOutcome {
         let flips = diff.count_ones();
         let program = diff & !self.faults.positions();
@@ -328,6 +346,7 @@ impl LineWear {
                 self.slack -= 1;
                 simd::mask_accumulate(&mut self.wear, &program.words());
                 self.stored = self.stored ^ program;
+                self.slack_changed = self.slack_changed | program;
             }
             return WriteOutcome {
                 flips,
@@ -358,15 +377,14 @@ impl LineWear {
                 new_faults.push(fault);
             }
         }
+        self.slack_changed = self.slack_changed | program;
         // Re-arm the fast path only when the bound can have risen: a death
         // removed the weakest cell from the healthy set, or it was never
         // computed. While a healthy cell sits at zero remaining the bound
         // stays zero, and rescanning every write would cost more than the
         // death check it is meant to avoid.
         if self.slack_stale || !new_faults.is_empty() {
-            let healthy = !self.faults.positions();
-            self.slack = simd::min_remaining(&self.wear, &self.endurance, &healthy.words());
-            self.slack_stale = false;
+            self.rescan_slack();
         }
         WriteOutcome {
             flips,
@@ -444,9 +462,11 @@ impl LineWear {
         // One cell absorbing `events` can lower the line-wide minimum by
         // at most `events`; shrinking the bound keeps it conservative.
         self.slack = self.slack.saturating_sub(events);
+        self.slack_changed.set_bit(pos, true);
         let cell = self.cell_of(pos);
         self.wear[cell] = self.wear[cell].saturating_add(events);
         if self.wear[cell] > self.endurance[cell] {
+            self.slack_stale = true;
             let bpc = self.tech.bits_per_cell();
             let mut first = None;
             for bit in cell * bpc..(cell + 1) * bpc {
@@ -465,12 +485,6 @@ impl LineWear {
         }
     }
 
-    /// Number of writes the healthiest cell of the line can still absorb
-    /// (the line is far from dead while this is large).
-    pub fn max_remaining(&self) -> u32 {
-        (0..DATA_BITS).map(|p| self.remaining(p)).max().unwrap_or(0)
-    }
-
     /// Fast-forwards the rest of a sampled segment in one pass over the
     /// cells its sampled writes flipped.
     ///
@@ -487,14 +501,16 @@ impl LineWear {
     /// [`Self::add_wear`] would position by position in ascending order:
     /// grants that round to 0 and stuck bits are skipped, and a cell
     /// pushed past its endurance sticks at its current stored value. On
-    /// SLC one slack-bound recomputation at the end replaces the
-    /// per-grant decrements; MLC, whose bits share cells, keeps the
-    /// per-bit `add_wear` semantics. Returns the tightened `extra`, the
-    /// writes actually replayed.
+    /// SLC one exact slack-bound recomputation at the end replaces the
+    /// per-grant decrements: over every healthy cell after a death, else
+    /// over the cells whose wear changed since the last one. MLC, whose
+    /// bits share cells, keeps the per-bit `add_wear` semantics. Returns
+    /// the tightened `extra`, the writes actually replayed.
     ///
     /// # Panics
     ///
     /// Panics if `done` is zero (there is no flip profile to scale).
+    #[inline]
     pub fn fast_forward(
         &mut self,
         counts: &[u32; DATA_BITS],
@@ -534,6 +550,7 @@ impl LineWear {
             Some(slot) => *slot.get_or_insert_with(|| scale(c)),
             None => scale(c),
         };
+        let mut died = false;
         for pos in live.iter_ones() {
             let g = grant(counts[pos]);
             if g == 0 {
@@ -547,6 +564,7 @@ impl LineWear {
             }
             self.wear[pos] = self.wear[pos].saturating_add(g);
             if self.wear[pos] > self.endurance[pos] {
+                died = true;
                 self.faults.insert(StuckAt {
                     pos: pos as u16,
                     value: self.stored.bit(pos),
@@ -554,11 +572,31 @@ impl LineWear {
             }
         }
         if slc {
-            let healthy = !self.faults.positions();
-            self.slack = simd::min_remaining(&self.wear, &self.endurance, &healthy.words());
-            self.slack_stale = false;
+            if died || self.slack_stale {
+                self.rescan_slack();
+            } else {
+                // No cell died since the last computation: a cell whose
+                // wear did not change still has at least `slack_min` left,
+                // and if every cell at that minimum changed, one of them
+                // is now at or below it. So the minimum over the changed
+                // cells and `slack_min` is the full rescan's answer.
+                let changed = (self.slack_changed | live) & !self.faults.positions();
+                let min = simd::min_remaining(&self.wear, &self.endurance, &changed.words());
+                self.slack = self.slack_min.min(min);
+                self.slack_min = self.slack;
+                self.slack_changed = Line512::zero();
+            }
         }
         extra
+    }
+
+    /// Recomputes the slack bound over every healthy cell.
+    fn rescan_slack(&mut self) {
+        let healthy = !self.faults.positions();
+        self.slack = simd::min_remaining(&self.wear, &self.endurance, &healthy.words());
+        self.slack_min = self.slack;
+        self.slack_changed = Line512::zero();
+        self.slack_stale = false;
     }
 }
 
@@ -566,6 +604,7 @@ impl LineWear {
 mod tests {
     use super::*;
     use pcm_util::seeded_rng;
+    use rand::RngExt;
 
     #[test]
     fn with_faults_realizes_positions_and_polarity() {
@@ -759,13 +798,104 @@ mod tests {
         assert!(line.faults().is_faulty(5));
     }
 
+    /// The minimum remaining endurance over every healthy cell, computed
+    /// afresh.
+    fn rescanned(line: &LineWear) -> u32 {
+        let healthy = !line.faults.positions();
+        simd::min_remaining(&line.wear, &line.endurance, &healthy.words())
+    }
+
+    /// The slack bound never exceeds the least budget left in a healthy
+    /// cell, and every SLC fast-forward leaves it exactly there, whether
+    /// it rescanned all cells (after a death) or only the changed ones.
     #[test]
-    fn max_remaining_tracks_healthiest_cell() {
-        let mut endurance = vec![5u32; 512];
-        endurance[3] = 50;
-        let mut line = LineWear::with_endurance(endurance);
-        assert_eq!(line.max_remaining(), 50);
-        line.add_wear(3, 20);
-        assert_eq!(line.max_remaining(), 30);
+    fn slack_bound_equals_a_full_rescan_after_every_fast_forward() {
+        let mut rng = seeded_rng(68);
+        let (mut write_deaths, mut forward_deaths, mut incremental) = (0, 0, 0);
+        for _ in 0..48 {
+            // Low, spread-out endurance: cells die both under writes and
+            // under fast-forwards.
+            let model = EnduranceModel::new(40.0, 0.5);
+            let mut line = LineWear::sample(&model, &mut rng);
+            for _ in 0..120 {
+                let before = line.faults.count();
+                match rng.random_range(0..8u32) {
+                    0..=4 => {
+                        // Sparse targets keep most writes on the fast path.
+                        let flips = Line512::random(&mut rng) & Line512::random(&mut rng);
+                        let target = line.stored() ^ (flips & Line512::random(&mut rng));
+                        line.write(&target);
+                        write_deaths += (line.faults.count() > before) as u32;
+                        assert!(line.slack <= rescanned(&line), "after a write");
+                    }
+                    5 => {
+                        // Half the time at the weakest healthy cell; the
+                        // events exhaust the cell, kill it, or are few.
+                        let pos = if rng.random_bool(0.5) {
+                            (0..DATA_BITS)
+                                .filter(|&pos| !line.faults.is_faulty(pos))
+                                .min_by_key(|&pos| line.remaining(pos))
+                                .unwrap_or(0)
+                        } else {
+                            rng.random_range(0..DATA_BITS)
+                        };
+                        let left = line.remaining(pos);
+                        let events =
+                            [left, left + 1, rng.random_range(0..4)][rng.random_range(0..3usize)];
+                        line.add_wear(pos, events);
+                        assert!(line.slack <= rescanned(&line), "after add_wear");
+                    }
+                    _ => {
+                        let done = rng.random_range(1..=20u64);
+                        let mut counts = [0u32; DATA_BITS];
+                        let mut touched = Line512::zero();
+                        for _ in 0..rng.random_range(0..96) {
+                            let pos = rng.random_range(0..DATA_BITS);
+                            counts[pos] = rng.random_range(1..=done as u32);
+                            touched.set_bit(pos, true);
+                        }
+                        // Mostly short spans, so most cells survive them.
+                        let extra = if rng.random_bool(0.2) { 60 } else { 4 };
+                        let stale = line.slack_stale;
+                        line.fast_forward(&counts, &touched, done, rng.random_range(1..=extra));
+                        let died = line.faults.count() > before;
+                        forward_deaths += died as u32;
+                        incremental += (!died && !stale) as u32;
+                        assert_eq!(line.slack, rescanned(&line), "after a fast-forward");
+                    }
+                }
+            }
+        }
+        assert!(
+            write_deaths >= 50,
+            "only {write_deaths} writes killed a cell"
+        );
+        assert!(
+            forward_deaths >= 50,
+            "only {forward_deaths} fast-forwards killed a cell"
+        );
+        assert!(
+            incremental >= 500,
+            "only {incremental} bounds came from the changed cells"
+        );
+
+        // MLC never arms the bound; it must only stay at or below the
+        // minimum remaining budget of any healthy cell.
+        let model = EnduranceModel::new(30.0, 0.5);
+        let mut line = LineWear::sample_with_tech(&model, CellTech::Mlc2, &mut rng);
+        for _ in 0..400 {
+            if rng.random_bool(0.7) {
+                line.write(&Line512::random(&mut rng));
+            } else {
+                line.add_wear(rng.random_range(0..DATA_BITS), rng.random_range(0..4));
+            }
+            let least = (0..DATA_BITS)
+                .filter(|&pos| !line.faults.is_faulty(pos))
+                .map(|pos| line.remaining(pos))
+                .min()
+                .unwrap_or(u32::MAX);
+            assert!(line.slack <= least, "MLC bound above the minimum");
+        }
+        assert!(line.faults.count() > 0, "no MLC cell died");
     }
 }

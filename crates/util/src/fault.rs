@@ -38,6 +38,7 @@ pub struct FaultMap {
 
 impl FaultMap {
     /// Creates an empty fault map.
+    #[inline]
     pub fn new() -> Self {
         FaultMap::default()
     }
@@ -49,6 +50,7 @@ impl FaultMap {
     /// # Panics
     ///
     /// Panics if `fault.pos >= 512`.
+    #[inline]
     pub fn insert(&mut self, fault: StuckAt) {
         let pos = fault.pos as usize;
         assert!(pos < DATA_BITS, "fault position {pos} out of range");
@@ -61,6 +63,7 @@ impl FaultMap {
     /// # Panics
     ///
     /// Panics if `pos >= 512`.
+    #[inline]
     pub fn is_faulty(&self, pos: usize) -> bool {
         self.positions.bit(pos)
     }
@@ -79,6 +82,7 @@ impl FaultMap {
     }
 
     /// Total number of faulty cells.
+    #[inline]
     pub fn count(&self) -> u32 {
         self.positions.count_ones()
     }
@@ -117,6 +121,7 @@ impl FaultMap {
     /// assert_eq!(sub.count(), 1);
     /// assert!(sub.is_faulty(3));
     /// ```
+    #[inline]
     pub fn masked(&self, mask: Line512) -> FaultMap {
         FaultMap {
             positions: self.positions & mask,
@@ -139,6 +144,7 @@ impl FaultMap {
     /// let written = faults.apply(Line512::zero());
     /// assert!(written.bit(0));
     /// ```
+    #[inline]
     pub fn apply(&self, line: Line512) -> Line512 {
         (line & !self.positions) | (self.values & self.positions)
     }

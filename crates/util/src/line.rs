@@ -64,6 +64,7 @@ impl Line512 {
     }
 
     /// Creates a line from 64 bytes.
+    #[inline]
     pub fn from_bytes(bytes: &[u8; DATA_BYTES]) -> Self {
         let mut words = [0u64; 8];
         for (i, chunk) in bytes.chunks_exact(8).enumerate() {
@@ -73,6 +74,7 @@ impl Line512 {
     }
 
     /// Returns the 64 bytes of this line.
+    #[inline]
     pub fn to_bytes(&self) -> [u8; DATA_BYTES] {
         let mut out = [0u8; DATA_BYTES];
         for (i, w) in self.words.iter().enumerate() {
@@ -226,6 +228,7 @@ impl Line512 {
     /// let mut buf = [0u16; DATA_BITS];
     /// assert_eq!(l.ones_into(&mut buf), &[5, 300]);
     /// ```
+    #[inline]
     pub fn ones_into<'a>(&self, buf: &'a mut [u16; DATA_BITS]) -> &'a [u16] {
         let mut n = 0;
         for p in self.iter_ones() {
@@ -279,6 +282,7 @@ impl Line512 {
     /// assert!(m.bit(60) && m.bit(69));
     /// assert!(!m.bit(59) && !m.bit(70));
     /// ```
+    #[inline]
     pub fn bit_range_mask(range: std::ops::Range<usize>) -> Line512 {
         assert!(range.end <= DATA_BITS, "range end out of bounds");
         if range.start >= range.end {
@@ -324,6 +328,7 @@ pub struct IterOnes {
 impl Iterator for IterOnes {
     type Item = usize;
 
+    #[inline]
     fn next(&mut self) -> Option<usize> {
         loop {
             if self.bits != 0 {
@@ -342,6 +347,7 @@ impl Iterator for IterOnes {
 
 impl BitXor for Line512 {
     type Output = Line512;
+    #[inline]
     fn bitxor(self, rhs: Line512) -> Line512 {
         let mut words = self.words;
         for (a, b) in words.iter_mut().zip(rhs.words.iter()) {
@@ -353,6 +359,7 @@ impl BitXor for Line512 {
 
 impl BitAnd for Line512 {
     type Output = Line512;
+    #[inline]
     fn bitand(self, rhs: Line512) -> Line512 {
         let mut words = self.words;
         for (a, b) in words.iter_mut().zip(rhs.words.iter()) {
@@ -364,6 +371,7 @@ impl BitAnd for Line512 {
 
 impl BitOr for Line512 {
     type Output = Line512;
+    #[inline]
     fn bitor(self, rhs: Line512) -> Line512 {
         let mut words = self.words;
         for (a, b) in words.iter_mut().zip(rhs.words.iter()) {

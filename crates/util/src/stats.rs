@@ -55,16 +55,6 @@ impl Ecdf {
         Ecdf { sorted: samples }
     }
 
-    /// Number of samples.
-    pub fn len(&self) -> usize {
-        self.sorted.len()
-    }
-
-    /// Returns `true` when the ECDF holds no samples.
-    pub fn is_empty(&self) -> bool {
-        self.sorted.is_empty()
-    }
-
     /// Fraction of samples `<= x`. Returns `0.0` for an empty ECDF.
     pub fn fraction_le(&self, x: f64) -> f64 {
         if self.sorted.is_empty() {

@@ -2,7 +2,9 @@
 //! stage (`pcm-audit`) ahead of every build/run stage, and nothing may
 //! gate it behind a flag like `--quick`. The audit crate's own
 //! `gate-stages` rule checks the marker set; this test pins the ordering
-//! from the outside so the two cannot drift together unnoticed.
+//! from the outside so the two cannot drift together unnoticed. It also
+//! pins that the repository benchmark (`perfbench/`) builds with the root
+//! manifest's release profile.
 
 fn gate_script() -> String {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/scripts_run_all.sh");
@@ -229,5 +231,49 @@ fn perfbench_stage_tests_the_benchmark_package_before_the_benches() {
     assert!(
         stage.contains("exit 1") && !stage.contains("if [ \"$"),
         "perfbench failures must abort the gate, unconditionally:\n{stage}"
+    );
+}
+
+/// The `[profile.release]` settings of a manifest (and of its
+/// `[profile.release.*]` sub-tables), one `table: key = value` entry
+/// each, with comments and layout stripped.
+fn release_profile(manifest: &str) -> Vec<String> {
+    let path = format!("{}/{manifest}", env!("CARGO_MANIFEST_DIR"));
+    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+    let mut table = String::new();
+    let mut entries = Vec::new();
+    for line in text.lines() {
+        let mut in_string = false;
+        let code = line
+            .split(|c: char| {
+                in_string ^= c == '"';
+                c == '#' && !in_string
+            })
+            .next()
+            .unwrap_or_default()
+            .trim();
+        if let Some(header) = code.strip_prefix('[') {
+            table = header.trim_end_matches(']').trim().to_string();
+        } else if let Some((key, value)) = code.split_once('=') {
+            if table == "profile.release" || table.starts_with("profile.release.") {
+                entries.push(format!("{table}: {} = {}", key.trim(), value.trim()));
+            }
+        }
+    }
+    entries.sort();
+    entries
+}
+
+#[test]
+fn benchmark_builds_with_the_repository_release_profile() {
+    // perfbench is a workspace of its own, so the root manifest's profile
+    // does not reach it: its manifest repeats the table, and the
+    // benchmark measures the shipped code only while the two agree.
+    let root = release_profile("Cargo.toml");
+    let bench = release_profile("perfbench/Cargo.toml");
+    assert!(!root.is_empty(), "the root manifest sets a release profile");
+    assert_eq!(
+        root, bench,
+        "Cargo.toml and perfbench/Cargo.toml must carry the same [profile.release]"
     );
 }
